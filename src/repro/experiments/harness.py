@@ -274,7 +274,7 @@ def _run_trials_legacy(
             tree_bounds = bounds if bounds is not None else Rect.unit(2)
             with obs.span("trial.build"):
                 partition = vector_census(
-                    generator.generate(n_points),
+                    generator.generate_array(n_points),
                     capacity,
                     bounds=tree_bounds,
                     dim=tree_bounds.dim,

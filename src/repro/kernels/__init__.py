@@ -10,6 +10,8 @@ materializing trees.  Currently:
 - :func:`vector_census_batch` — the same engine over a stack of
   trials at once (one interleave + one argsort per batch), which pool
   workers use to amortize numpy fixed costs across a whole chunk;
+- :func:`rows_distinct` — the exact duplicate-row test the census
+  and the vectorized point generators share;
 - :class:`QueryKernel` / :class:`PartialMatchResult` — sort-once batch
   *query* kernels over the same sorted Morton array: range queries as
   code-interval stabs, exact batched k-NN, and partial match with
@@ -17,13 +19,19 @@ materializing trees.  Currently:
   paths).
 """
 
-from .census import LeafPartition, vector_census, vector_census_batch
+from .census import (
+    LeafPartition,
+    rows_distinct,
+    vector_census,
+    vector_census_batch,
+)
 from .queries import PartialMatchResult, QueryKernel
 
 __all__ = [
     "LeafPartition",
     "PartialMatchResult",
     "QueryKernel",
+    "rows_distinct",
     "vector_census",
     "vector_census_batch",
 ]

@@ -136,6 +136,25 @@ def _as_coord_array(points: PointInput, dim: int) -> np.ndarray:
     return arr
 
 
+def rows_distinct(arr: np.ndarray) -> bool:
+    """True iff the rows of the ``(n, dim)`` array ``arr`` are pairwise
+    distinct under float equality (``-0.0 == 0.0``) — the test
+    :class:`Point` hashing and the tree's duplicate rejection apply.
+
+    Distinct first coordinates settle it with one 1-d sort, which is
+    what continuous draws almost always have; only a shared first
+    coordinate pays for the row-wise ``np.unique(axis=0)``, several
+    times the cost of sorting a column of the same length.
+    """
+    n = arr.shape[0]
+    # 1-d unique compares by value, so -0.0/0.0 only ever lands in the
+    # row check, never in a false "distinct"
+    if np.unique(arr[:, 0]).size == n:
+        return True
+    # +0.0 folds -0.0 into 0.0: the row comparison below is bitwise
+    return np.unique(arr + 0.0, axis=0).shape[0] == n
+
+
 def _splittable(lo: np.ndarray, hi: np.ndarray) -> bool:
     """``Rect.is_splittable`` on raw corner arrays."""
     mid = (lo + hi) / 2.0
@@ -186,9 +205,12 @@ def vector_census(
             p = Point(*arr[outside][0])
             raise ValueError(f"{p!r} outside tree bounds {bounds!r}")
         # Normalize -0.0 to +0.0 so the bitwise row-dedupe below agrees
-        # with the tree's float-equality duplicate rejection.
+        # with the tree's float-equality duplicate rejection.  The
+        # census does not depend on row order, so distinct input skips
+        # the row sort.
         arr = arr + 0.0
-        arr = np.unique(arr, axis=0)
+        if not rows_distinct(arr):
+            arr = np.unique(arr, axis=0)
 
         depth_chunks: List[np.ndarray] = []
         occ_chunks: List[np.ndarray] = []

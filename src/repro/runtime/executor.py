@@ -27,7 +27,11 @@ taking the fastest correct path available:
    numbers feed a :class:`~repro.runtime.autotune.ChunkAutotuner` that
    adapts the default chunk size run over run;
 3. **serial** — ``workers <= 1`` runs in-process with zero pool
-   overhead, exactly like the historical harness loop.
+   overhead, one trial at a time.  Vector-engine trials draw their
+   points with the same vectorized ``generate_array`` the pool
+   coordinator uses and hand the array straight to one
+   :func:`repro.kernels.vector_census` call, so serial and pooled runs
+   differ only in batching and parallelism, not in how points are made.
 
 Every path preserves the harness's seed-stream contract: trial ``t``
 uses generator seed ``spec.seed + t``, and partial results merge in
@@ -192,9 +196,11 @@ def build_trials(
     census is computed: ``"object"`` builds a real :class:`PRQuadtree`
     (the parity oracle, and the only engine that can enumerate leaf
     rectangles), ``"vector"`` runs the Morton-code kernel
-    (:func:`repro.kernels.vector_census`) — bit-identical censuses,
-    no tree.  Specs that collect leaf areas silently use the object
-    engine regardless, since the kernel has no blocks to measure.
+    (:func:`repro.kernels.vector_census`) on each trial's
+    ``generate_array`` rows — bit-identical censuses, no tree and no
+    :class:`Point` objects.  Specs that collect leaf areas silently
+    use the object engine regardless, since the kernel has no blocks
+    to measure.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -284,8 +290,9 @@ def _build_trials_vector(
     spec: ExperimentSpec, start: int, count: int
 ) -> TrialResult:
     """The vector-engine trial loop: same seed contract, same spans,
-    censuses bit-identical to the object loop's — but each trial is a
-    kernel call over the generated point array instead of a tree."""
+    censuses bit-identical to the object loop's — but each trial is one
+    kernel call over the generator's ``generate_array`` rows instead of
+    a tree, so no :class:`Point` is ever built."""
     from ..kernels import vector_census
 
     result = TrialResult.empty(spec.capacity)
@@ -295,7 +302,7 @@ def _build_trials_vector(
         generator = spec.make_generator(trial)
         with obs.span("trial.build"):
             partition = vector_census(
-                generator.generate(spec.n_points),
+                generator.generate_array(spec.n_points),
                 spec.capacity,
                 bounds=bounds,
                 dim=bounds.dim,

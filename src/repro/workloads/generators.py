@@ -21,6 +21,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import Point, Rect, Segment
+from ..kernels import rows_distinct
 
 
 class PointGenerator:
@@ -54,21 +55,43 @@ class PointGenerator:
                 out.append(p)
         return out
 
+    def _draw_rows(self, n: int) -> Optional[np.ndarray]:
+        """Vectorized-draw hook: the first ``n`` points ``n`` calls of
+        :meth:`_raw` would return, as an ``(n, dim)`` float64 array,
+        leaving the RNG exactly where those calls leave it.  ``None``
+        (the default) means the class has no vectorized draw."""
+        return None
+
     def generate_array(self, n: int) -> np.ndarray:
         """``n`` distinct points as an ``(n, dim)`` float64 array —
-        row ``i`` is exactly ``generate(n)[i]``'s coordinates.
+        row ``i`` is exactly ``generate(n)[i]``'s coordinates, and the
+        RNG ends in the state ``generate(n)`` leaves it in.
 
-        The base implementation lowers :meth:`generate`; subclasses
-        with a pure per-coordinate draw (uniform) override it with a
-        vectorized path that consumes the RNG stream identically, so
-        callers (the runtime's shared-memory pool path) may rely on
+        Classes with a vectorized :meth:`_draw_rows` take one array
+        draw.  Without one, or when the drawn rows hold a duplicate
+        (probability ~0 with float64 draws), the RNG is rewound and
+        the scalar :meth:`generate` loop runs instead, so callers (the
+        runtime's trial loops and shared-memory pool path) may rely on
         ``generate_array`` being bit-identical to ``generate`` for
         every generator.
         """
-        points = self.generate(n)
-        if not points:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        if n == 0:
             return np.empty((0, self._bounds.dim), dtype=np.float64)
-        return np.array([tuple(p) for p in points], dtype=np.float64)
+        state = self._rng.bit_generator.state
+        arr = self._draw_rows(n)
+        if arr is not None and rows_distinct(arr):
+            return arr
+        self._rng.bit_generator.state = state
+        return np.array([p.coords for p in self.generate(n)], dtype=np.float64)
+
+    def _box(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The bounds' corners as float64 arrays."""
+        return (
+            np.array(self._bounds.lo.coords, dtype=np.float64),
+            np.array(self._bounds.hi.coords, dtype=np.float64),
+        )
 
     def stream(self) -> Iterator[Point]:
         """An endless stream of distinct points."""
@@ -91,46 +114,22 @@ class UniformPoints(PointGenerator):
         ]
         return Point(*coords)
 
-    def generate_array(self, n: int) -> np.ndarray:
-        """Vectorized draw, bit-identical to :meth:`generate`.
+    def _draw_rows(self, n: int) -> np.ndarray:
+        """One bulk draw: ``_raw`` consumes one double per axis per
+        point in row-major order, and a bulk ``Generator.random(k)``
+        yields exactly the same doubles as ``k`` scalar calls, so the
+        same affine map reproduces the scalar stream."""
+        lo, hi = self._box()
+        return lo + self._rng.random((n, self._bounds.dim)) * (hi - lo)
 
-        ``_raw`` consumes one double per axis per point in row-major
-        order, and a bulk ``Generator.random(k)`` yields exactly the
-        same doubles as ``k`` scalar calls, so one bulk draw plus the
-        same affine map reproduces the scalar stream.  Duplicate rows
-        (probability ~0 in float64) fall back to the scalar loop's
-        semantics: keep first occurrences, then keep drawing one point
-        at a time until ``n`` are distinct.
+    def generate_array(self, n: int) -> np.ndarray:
+        """:meth:`PointGenerator.generate_array` over the bulk draw.
+
+        Kept as this class's own binding: the end-to-end benchmark
+        (``benchmarks/e2e/spans.py``) wraps it through the class
+        ``__dict__``.
         """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        dim = self._bounds.dim
-        if n == 0:
-            return np.empty((0, dim), dtype=np.float64)
-        lo = np.array(
-            [self._bounds.lo[i] for i in range(dim)], dtype=np.float64
-        )
-        hi = np.array(
-            [self._bounds.hi[i] for i in range(dim)], dtype=np.float64
-        )
-        raw = self._rng.random(n * dim).reshape(n, dim)
-        arr = lo + raw * (hi - lo)
-        # +0.0 normalizes -0.0 so the bitwise row comparison below
-        # agrees with the scalar path's value-equality dedupe
-        if np.unique(arr + 0.0, axis=0).shape[0] == n:
-            return arr
-        seen = set()
-        rows: List[Tuple[float, ...]] = []
-        for row in map(tuple, arr.tolist()):
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        while len(rows) < n:
-            row = tuple(self._raw())
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        return np.array(rows, dtype=np.float64)
+        return super().generate_array(n)
 
 
 class GaussianPoints(PointGenerator):
@@ -167,6 +166,49 @@ class GaussianPoints(PointGenerator):
             p = Point(*coords)
             if self._bounds.contains_point(p):
                 return p
+
+    def _draw_rows(self, n: int) -> np.ndarray:
+        """Block draws of whole ``_raw`` attempts, rejected to the box.
+
+        ``Generator.normal`` over per-axis ``loc``/``scale`` arrays runs
+        the same C routine per element, in the same order, as the
+        scalar calls in :meth:`_raw`, so the accepted rows are the
+        scalar stream's points.  Each block is sized from the box's
+        acceptance probability; the last one is redrawn up to the
+        attempt that yields the ``n``-th point, so the RNG stops where
+        ``n`` scalar ``_raw`` calls stop.
+        """
+        dim = self._bounds.dim
+        loc = np.array(self._bounds.center.coords, dtype=np.float64)
+        scale = np.array(
+            [self._sigma_fraction * self._bounds.side(i) for i in range(dim)],
+            dtype=np.float64,
+        )
+        lo, hi = self._box()
+        # the box spans +-side/2 = +-1/(2 sigma_fraction) sigmas per axis
+        accept = math.erf(
+            1.0 / (2.0 * self._sigma_fraction * math.sqrt(2.0))
+        ) ** dim
+        rows: List[np.ndarray] = []
+        need = n
+        while True:
+            # 5% + 32 rows of headroom make a second block rare; the cap
+            # bounds one block's memory when almost every row is rejected
+            expected = need / max(accept, 1e-9)
+            block_rows = int(min(expected * 1.05, 1 << 18)) + 32
+            state = self._rng.bit_generator.state
+            block = self._rng.normal(loc, scale, size=(block_rows, dim))
+            hits = np.flatnonzero(((block >= lo) & (block < hi)).all(axis=1))
+            if hits.size < need:
+                rows.append(block[hits])
+                need -= hits.size
+                continue
+            used = int(hits[need - 1]) + 1
+            if used < block_rows:
+                self._rng.bit_generator.state = state
+                self._rng.normal(loc, scale, size=(used, dim))
+            rows.append(block[hits[:need]])
+            return np.concatenate(rows)
 
 
 class ClusteredPoints(PointGenerator):

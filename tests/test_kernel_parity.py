@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.harness import run_trials
 from repro.geometry import Point, Rect
-from repro.kernels import vector_census, vector_census_batch
+from repro.kernels import rows_distinct, vector_census, vector_census_batch
 from repro.quadtree import PRQuadtree
 from repro.runtime import ExperimentSpec, RuntimeConfig, build_trials
 from repro.workloads import ClusteredPoints, UniformPoints
@@ -131,6 +131,46 @@ class TestNearCoincidentPoints:
     def test_tiny_coordinates(self):
         pts = [Point(1e-300, 1e-300), Point(2e-300, 1e-300), Point(0.5, 0.5)]
         assert_parity(pts, 1)
+
+
+class TestDistinctRows:
+    """``rows_distinct`` decides whether the census may skip its row
+    dedupe, so every input it can misjudge must still census exactly
+    like the tree (which rejects duplicates by float equality)."""
+
+    BOUNDS = Rect(Point(-1.0, -1.0), Point(1.0, 1.0))
+
+    def check(self, rows, distinct):
+        arr = np.array(rows, dtype=np.float64)
+        assert rows_distinct(arr) is distinct
+        pts = [Point(*row) for row in rows]
+        for capacity in (1, 2):
+            tree = PRQuadtree(capacity=capacity, bounds=self.BOUNDS)
+            tree.insert_many(pts)
+            partition = vector_census(arr, capacity, bounds=self.BOUNDS)
+            assert partition.occupancy_census() == tree.occupancy_census()
+            assert partition.depth_census() == tree.depth_census()
+            assert partition.size == len(tree)
+        assert (len(set(pts)) == len(pts)) is distinct
+
+    def test_shared_first_column_but_distinct(self):
+        self.check(
+            [(0.25, 0.1), (0.25, 0.7), (0.25, -0.3), (-0.5, 0.1)], True
+        )
+
+    def test_exact_duplicate_rows(self):
+        self.check(
+            [(0.25, 0.1), (0.6, 0.7), (0.25, 0.1), (0.25, 0.1)], False
+        )
+
+    def test_negative_zero_equals_zero(self):
+        self.check([(0.0, 0.5), (-0.0, 0.5), (0.3, 0.3)], False)
+        self.check([(0.5, 0.0), (0.5, -0.0), (0.3, 0.3)], False)
+        self.check([(-0.0, 0.5), (0.0, -0.5), (0.3, 0.3)], True)
+
+    def test_trivial_sizes(self):
+        assert rows_distinct(np.empty((0, 2)))
+        assert rows_distinct(np.array([[0.5, 0.5]]))
 
 
 coord = st.floats(

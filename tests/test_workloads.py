@@ -194,6 +194,39 @@ class TestSampleSizes:
         assert logarithmic_sample_sizes(10, 700, 1) == [10, 40, 160, 640]
 
 
+class _ReplayRNG:
+    """A ``Generator`` stand-in replaying a fixed stream: ``random``
+    returns the values themselves and ``normal`` maps them to
+    ``loc + scale * value``, one value per coordinate either way, so a
+    test can script exactly which rows a generator draws."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=np.float64)
+        self.pos = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.pos
+
+    @state.setter
+    def state(self, pos):
+        self.pos = pos
+
+    def _take(self, size):
+        count = 1 if size is None else int(np.prod(size))
+        out = self._values[self.pos:self.pos + count]
+        assert out.size == count, "replay stream exhausted"
+        self.pos += count
+        return float(out[0]) if size is None else out.reshape(size)
+
+    def random(self, size=None):
+        return self._take(size)
+
+    def normal(self, loc, scale, size=None):
+        return loc + scale * self._take(size)
+
+
 class TestGenerateArray:
     """``generate_array`` must be bit-identical to ``generate`` — the
     pool coordinator writes its output into shared memory in place of
@@ -238,6 +271,72 @@ class TestGenerateArray:
             first, np.array([tuple(p) for p in expect[:60]])
         )
         assert second == expect[60:]
+
+    @pytest.mark.parametrize("factory", GENERATORS)
+    def test_rng_state_matches_generate(self, factory):
+        # later draws on the same generator must not depend on which
+        # of the two methods made the earlier points
+        for n in (1, 37, 500):
+            array_gen = factory(n, Rect.unit(2))
+            scalar_gen = factory(n, Rect.unit(2))
+            array_gen.generate_array(n)
+            scalar_gen.generate(n)
+            assert (
+                array_gen._rng.bit_generator.state
+                == scalar_gen._rng.bit_generator.state
+            )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("sigma_fraction", [0.1, 0.4, 1.0, 3.0])
+    def test_gaussian_bit_identical_across_seeds(self, dim, sigma_fraction):
+        # sigma_fraction 3.0 rejects most rows, so several block draws
+        # are needed; 0.1 rejects almost none
+        boxes = [
+            Rect.unit(dim),
+            Rect(Point(*[-2.5] * dim), Point(*[0.75 + i for i in range(dim)])),
+        ]
+        for bounds in boxes:
+            for seed in range(8):
+                def make():
+                    return GaussianPoints(
+                        bounds=bounds, dim=dim, seed=seed,
+                        sigma_fraction=sigma_fraction,
+                    )
+
+                array_gen, scalar_gen = make(), make()
+                arr = array_gen.generate_array(300)
+                expected = np.array(
+                    [p.coords for p in scalar_gen.generate(300)],
+                    dtype=np.float64,
+                )
+                assert np.array_equal(arr, expected)
+                assert (
+                    array_gen._rng.bit_generator.state
+                    == scalar_gen._rng.bit_generator.state
+                )
+
+    @pytest.mark.parametrize("cls", [UniformPoints, GaussianPoints])
+    def test_duplicate_rows_fall_back_to_scalar_loop(self, cls):
+        # the first two draws repeat, so the vectorized rows hold a
+        # duplicate; the result must still be the scalar loop's first
+        # n distinct points, and the stream must stop where it stops
+        stream = [0.1, 0.2, 0.1, 0.2] + [
+            0.05 * k + 0.01 for k in range(1, 19)
+        ] * 100
+
+        def make():
+            gen = cls(seed=0)
+            gen._rng = _ReplayRNG(stream)
+            return gen
+
+        array_gen, scalar_gen = make(), make()
+        arr = array_gen.generate_array(4)
+        points = scalar_gen.generate(4)
+        assert len(set(points)) == 4
+        assert np.array_equal(
+            arr, np.array([p.coords for p in points], dtype=np.float64)
+        )
+        assert array_gen._rng.pos == scalar_gen._rng.pos == 10
 
     def test_zero_points(self):
         arr = UniformPoints(seed=1).generate_array(0)
