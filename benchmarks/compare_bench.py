@@ -30,6 +30,10 @@ object tree's walks at the stage's top size, and every size's parity
 check must have passed — the kernels are only a win while they stay
 bit-identical.
 
+``--require-census-speedup X`` gates the kernels stage likewise: the
+vector census must match the object tree's census at every size and
+beat building the tree by at least ``X`` at the stage's top size.
+
 ``--require-p99-ms OP=MS`` (repeatable; a bare number gates
 ``insert``) is the SLO gate over the serve stage's per-op client-side
 latency percentiles (``stages.serve.latency_ms``): the op must be
@@ -128,6 +132,31 @@ def check_query_speedup(current: dict, minimum: float) -> List[str]:
     return problems
 
 
+def check_census_speedup(current: dict, minimum: float) -> List[str]:
+    """Messages when the kernels stage missed ``minimum`` census
+    speedup at its top size or any size's parity check failed."""
+    stage = current.get("stages", {}).get("kernels")
+    if stage is None:
+        return ["kernels stage missing from current snapshot"]
+    runs = stage.get("runs") or {}
+    if not runs:
+        return ["kernels stage reports no runs"]
+    problems = [
+        f"vector census parity failed at n={size} — the census is not "
+        "bit-identical to the object tree's"
+        for size, run in sorted(runs.items(), key=lambda kv: int(kv[0]))
+        if not run.get("parity")
+    ]
+    top = max(runs, key=int)
+    speedup = runs[top].get("speedup", 0.0)
+    if not isinstance(speedup, (int, float)) or speedup < minimum:
+        problems.append(
+            f"vector census speedup {speedup} at n={top} below "
+            f"required {minimum:g}x"
+        )
+    return problems
+
+
 def parse_p99_specs(specs: List[str]) -> Dict[str, float]:
     """``OP=MS`` gate specs (a bare number gates ``insert``).
 
@@ -200,6 +229,12 @@ def main(argv: Optional[List[str]] = None) -> int:
              "range speedup >= X (and all parity checks passed)",
     )
     parser.add_argument(
+        "--require-census-speedup", type=float, default=None,
+        metavar="X",
+        help="fail unless the current snapshot's kernels stage reports "
+             "parity at every size and a top-size speedup >= X",
+    )
+    parser.add_argument(
         "--require-p99-ms", action="append", default=[], metavar="OP=MS",
         help="fail when the serve stage's client-side p99 for OP "
              "exceeds MS (repeatable; bare MS gates insert)",
@@ -252,6 +287,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.require_query_speedup is not None:
         problems.extend(check_query_speedup(
             current, args.require_query_speedup
+        ))
+    if args.require_census_speedup is not None:
+        problems.extend(check_census_speedup(
+            current, args.require_census_speedup
         ))
     if p99_specs:
         problems.extend(check_p99(current, p99_specs))

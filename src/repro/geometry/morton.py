@@ -51,6 +51,27 @@ def interleave(coords: Sequence[int], bits: int) -> int:
     return code
 
 
+#: ``dim -> (max bits, ((shift, mask), ...))``: the magic-mask bit
+#: spreads that put bit ``l`` of a coordinate at bit ``l * dim``.
+_SPREAD = {
+    1: (62, ()),
+    2: (31, (
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )),
+    3: (20, (
+        (32, 0x001F00000000FFFF),
+        (16, 0x001F0000FF0000FF),
+        (8, 0x100F00F00F00F00F),
+        (4, 0x10C30C30C30C30C3),
+        (2, 0x1249249249249249),
+    )),
+}
+
+
 def interleave_many(coords: "np.ndarray", bits: int) -> "np.ndarray":
     """Vectorized :func:`interleave` over an ``(n, dim)`` integer array.
 
@@ -58,7 +79,8 @@ def interleave_many(coords: "np.ndarray", bits: int) -> "np.ndarray":
     scalar function's bit layout (axis 0 most significant within each
     ``dim``-bit group).  ``bits * dim`` must stay within 62 so the codes
     remain exact in both ``uint64`` and ``int64`` arithmetic — the same
-    limit :class:`MortonIndex` enforces.
+    limit :class:`MortonIndex` enforces.  Dims 1–3 within that budget
+    spread bits with magic masks; other dims interleave level by level.
     """
     import numpy as np
 
@@ -80,8 +102,17 @@ def interleave_many(coords: "np.ndarray", bits: int) -> "np.ndarray":
         bad = arr[(arr < 0) | (arr >= (1 << bits))].flat[0]
         raise ValueError(f"coordinate {bad} outside 0..{(1 << bits) - 1}")
     arr = arr.astype(np.uint64)
-    codes = np.zeros(arr.shape[0], dtype=np.uint64)
     one = np.uint64(1)
+    spread = _SPREAD.get(dim)
+    if spread is not None and bits <= spread[0]:
+        # spread each axis's bits ``dim`` apart in a few mask steps
+        for shift, mask in spread[1]:
+            arr = (arr | (arr << np.uint64(shift))) & np.uint64(mask)
+        codes = arr[:, 0]
+        for axis in range(1, dim):
+            codes = (codes << one) | arr[:, axis]
+        return codes
+    codes = np.zeros(arr.shape[0], dtype=np.uint64)
     for level in range(bits - 1, -1, -1):
         for axis in range(dim):
             codes = (codes << one) | ((arr[:, axis] >> np.uint64(level)) & one)

@@ -8,8 +8,9 @@ materializing trees.  Currently:
 - :func:`vector_census` / :class:`LeafPartition` — the Morton-code
   census engine, selected by ``engine="vector"`` in the runtime;
 - :func:`vector_census_batch` — the same engine over a stack of
-  trials at once (one interleave + one argsort per batch), which pool
-  workers use to amortize numpy fixed costs across a whole chunk;
+  trials at once (one quantization, one row-wise sort and one scan per
+  batch), which pool workers use to amortize numpy fixed costs across
+  a whole chunk;
 - :func:`rows_distinct` — the exact duplicate-row test the census
   and the vectorized point generators share;
 - :class:`QueryKernel` / :class:`PartialMatchResult` — sort-once batch

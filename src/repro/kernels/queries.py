@@ -34,10 +34,12 @@ reported in canonical lexicographic order) to
 ``PRQuadtree.range_search`` / ``nearest`` on the same stored points,
 property-tested across structures, dimensions, duplicates, and
 degenerate windows in ``tests/test_query_kernels.py``.  Two details
-carry over from the census engine: coordinates are encoded by
-replaying ``mid = (lo + hi) / 2.0`` per axis per level (never an
-affine map), and k-NN distances accumulate per-axis squared terms in
-axis order before one ``sqrt`` — the same float operation sequence as
+carry over from the census engine: coordinates are encoded by the
+shared :func:`~repro.kernels.census.descend_cells`, which gives the
+cells of the tree's ``mid = (lo + hi) / 2.0`` descent (replayed, or
+in one exact power-of-two scaling where every midpoint is exact —
+never a rounding affine map), and k-NN distances accumulate per-axis
+squared terms in axis order before one ``sqrt`` — the same float operation sequence as
 ``Point.distance_to``, so distance ties break identically.
 
 One census-engine caveat does *not* apply here: near-coincident
@@ -57,7 +59,7 @@ import numpy as np
 
 from .. import obs
 from ..geometry import Point, Rect, interleave_many
-from .census import _CODE_BITS, _as_coord_array, _multi_arange
+from .census import _CODE_BITS, _as_coord_array, descend_cells
 
 PointInput = Union[Sequence[Point], np.ndarray]
 
@@ -161,7 +163,7 @@ class QueryKernel:
             # normalize -0.0 and drop duplicates, like the tree's insert
             arr = np.unique(arr + 0.0, axis=0)
             levels = _CODE_BITS // dim
-            cells, pin = _descend_cells(arr, root_lo, root_hi, levels)
+            cells, pin = descend_cells(arr, root_lo, root_hi, levels)
             codes = (
                 interleave_many(cells, levels)
                 if arr.shape[0]
@@ -327,7 +329,7 @@ class QueryKernel:
             # -- phase 1: seed windows around each query's code position
             inner_hi = np.nextafter(self._root_hi, -np.inf)
             clamped = np.clip(qarr, self._root_lo, inner_hi)
-            qcells, _ = _descend_cells(
+            qcells, _ = descend_cells(
                 clamped, self._root_lo, self._root_hi, self._levels
             )
             qcodes = interleave_many(qcells, self._levels)
@@ -596,10 +598,10 @@ class QueryKernel:
         if n_queries == 0:
             return e_int, e_code, e_code
         levels = self._levels
-        lo_cells, _ = _descend_cells(
+        lo_cells, _ = descend_cells(
             lo_corner, self._root_lo, self._root_hi, levels
         )
-        hi_cells, _ = _descend_cells(
+        hi_cells, _ = descend_cells(
             hi_corner, self._root_lo, self._root_hi, levels
         )
         # cell-box sizes at every depth L: index >> (levels - L)
@@ -676,30 +678,15 @@ class QueryKernel:
 # ----------------------------------------------------------------------
 
 
-def _descend_cells(
-    arr: np.ndarray,
-    root_lo: np.ndarray,
-    root_hi: np.ndarray,
-    levels: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-axis grid-cell bit strings (and first-unsplittable-depth
-    pins) by replaying the tree's descent arithmetic — the census
-    engine's encoding, pre-interleave."""
-    n, dim = arr.shape
-    lo = np.repeat(root_lo[None, :], n, axis=0)
-    hi = np.repeat(root_hi[None, :], n, axis=0)
-    cells = np.zeros((n, dim), dtype=np.uint64)
-    pin = np.full(n, levels + 1, dtype=np.int64)
-    one = np.uint64(1)
-    for level in range(levels):
-        mid = (lo + hi) / 2.0
-        stuck = ~((lo < mid) & (mid < hi)).all(axis=1)
-        pin = np.where((pin > levels) & stuck, level, pin)
-        geq = arr >= mid
-        cells = (cells << one) | geq.astype(np.uint64)
-        lo = np.where(geq, mid, lo)
-        hi = np.where(geq, hi, mid)
-    return cells, pin
+def _multi_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, e)`` for each pair, vectorized."""
+    lengths = stops - starts
+    total = int(lengths.sum())
+    steps = np.ones(total, dtype=np.int64)
+    steps[0] = starts[0]
+    heads = np.cumsum(lengths)[:-1]
+    steps[heads] = starts[1:] - (stops[:-1] - 1)
+    return np.cumsum(steps)
 
 
 def _exact_distances(pts: np.ndarray, q: np.ndarray) -> np.ndarray:

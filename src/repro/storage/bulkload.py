@@ -8,11 +8,12 @@ loading n points costs O(n) pool round-trips and rewrites each page
 many times as its region keeps splitting.
 
 This module reuses the query kernel's Morton partition instead.  One
-descent encodes every point (the census engine's exact float
-arithmetic), one argsort puts them in z-order, and one level-by-level
-refinement over the sorted code array yields exactly the leaf set the
-incremental build would reach — the PR tree's shape is a function of
-the point *set*, never of insertion order.  Each leaf run is then
+quantization encodes every point (the census engine's shared
+``descend_cells``, exact to the tree's float arithmetic), one argsort
+puts them in z-order, and one level-by-level refinement over the
+sorted code array yields exactly the leaf set the incremental build
+would reach — the PR tree's shape is a function of the point *set*,
+never of insertion order.  Each leaf run is then
 packed straight into a slotted page and staged into the page file
 **once**, in file order, with no buffer pool involved; a final atomic
 checkpoint publishes the image.  The result re-opens through the
@@ -36,8 +37,8 @@ import numpy as np
 
 from .. import obs
 from ..geometry import Point, Rect, interleave_many
-from ..kernels.census import _CODE_BITS, _as_coord_array
-from ..kernels.queries import PointInput, _descend_cells
+from ..kernels.census import _CODE_BITS, _as_coord_array, descend_cells
+from ..kernels.queries import PointInput
 from .page import SlottedPage
 from .pagefile import DEFAULT_PAGE_SIZE, PageFile
 from .paged_tree import (
@@ -101,7 +102,7 @@ def bulk_load_paged(
                 raise ValueError(f"{p!r} outside bounds {bounds!r}")
         arr = np.unique(arr + 0.0, axis=0)
         levels = _CODE_BITS // dim
-        cells, pin = _descend_cells(arr, root_lo, root_hi, levels)
+        cells, pin = descend_cells(arr, root_lo, root_hi, levels)
         codes = (
             interleave_many(cells, levels)
             if arr.shape[0]

@@ -113,6 +113,53 @@ class TestP99Gate:
         ) == 0
 
 
+def kernels_snapshot(speedups, parity=True):
+    snap = snapshot({"kernels": 1.0})
+    snap["stages"]["kernels"].update({
+        "parity": parity,
+        "runs": {
+            str(n): {"speedup": x, "parity": parity}
+            for n, x in speedups.items()
+        },
+    })
+    return snap
+
+
+class TestCensusGate:
+    def test_top_size_speedup_passes(self):
+        snap = kernels_snapshot({400: 2.0, 2000: 6.5})
+        assert compare_bench.check_census_speedup(snap, 3.0) == []
+
+    def test_top_size_is_numeric_not_lexical(self):
+        # "400" > "2000" as strings: the gate must read n=2000
+        snap = kernels_snapshot({400: 9.0, 2000: 2.0})
+        problems = compare_bench.check_census_speedup(snap, 3.0)
+        assert len(problems) == 1 and "n=2000" in problems[0]
+
+    def test_parity_failure_at_any_size_fails(self):
+        snap = kernels_snapshot({400: 9.0, 2000: 9.0})
+        snap["stages"]["kernels"]["runs"]["400"]["parity"] = False
+        problems = compare_bench.check_census_speedup(snap, 3.0)
+        assert len(problems) == 1 and "n=400" in problems[0]
+
+    def test_missing_stage_or_runs_fails(self):
+        assert compare_bench.check_census_speedup(
+            snapshot({"build": 0.1}), 3.0
+        )
+        empty = kernels_snapshot({})
+        assert compare_bench.check_census_speedup(empty, 3.0)
+
+    def test_main_wires_the_gate(self, tmp_path, capsys):
+        cur = write(tmp_path, "cur.json", kernels_snapshot({2000: 2.0}))
+        assert compare_bench.main(
+            [cur, cur, "--require-census-speedup", "3.0"]
+        ) == 1
+        assert "census speedup" in capsys.readouterr().err
+        assert compare_bench.main(
+            [cur, cur, "--require-census-speedup", "1.5"]
+        ) == 0
+
+
 class TestMain:
     def test_exit_zero_when_clean(self, tmp_path, capsys):
         cur = write(tmp_path, "cur.json", snapshot({"build": 0.1}))

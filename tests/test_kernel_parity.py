@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.experiments.harness import run_trials
 from repro.geometry import Point, Rect
-from repro.kernels import rows_distinct, vector_census, vector_census_batch
+from repro.kernels import (
+    census,
+    rows_distinct,
+    vector_census,
+    vector_census_batch,
+)
 from repro.quadtree import PRQuadtree
 from repro.runtime import ExperimentSpec, RuntimeConfig, build_trials
 from repro.workloads import ClusteredPoints, UniformPoints
@@ -131,6 +136,91 @@ class TestNearCoincidentPoints:
     def test_tiny_coordinates(self):
         pts = [Point(1e-300, 1e-300), Point(2e-300, 1e-300), Point(0.5, 0.5)]
         assert_parity(pts, 1)
+
+
+def replayed_cells(monkeypatch, arr, lo, hi, levels):
+    """``descend_cells`` forced onto the level-by-level replay."""
+    with monkeypatch.context() as patched:
+        patched.setattr(census, "_grid_scale", lambda *args: None)
+        return census.descend_cells(arr, lo, hi, levels)
+
+
+class TestDescendCells:
+    """The exact power-of-two quantization must give the replayed
+    descent's cells bit for bit, and apply only where it can."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("lo_units,side_exp", [
+        (0, 0), (-1, 0), (-3, -2), (-2, 5), (7, -20), (-1, -40),
+    ])
+    def test_fast_cells_equal_replay(self, monkeypatch, dim, lo_units,
+                                     side_exp):
+        levels = 62 // dim
+        side = 2.0 ** side_exp
+        lo = np.full(dim, lo_units * side)
+        hi = lo + side
+        assert census._grid_scale(lo, hi, levels) is not None
+        rng = np.random.default_rng(dim * 100 + side_exp)
+        k = rng.integers(0, 1 << levels, size=64)
+        grid = lo[0] + k * (side / 2.0 ** levels)
+        values = np.concatenate([
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+            [lo[0], np.nextafter(hi[0], -np.inf), hi[0] - side / 2],
+            [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -(2.0 ** -1022)],
+        ])
+        values = values[(values >= lo[0]) & (values < hi[0])]
+        arr = np.stack([np.roll(values, a) for a in range(dim)], axis=1)
+        fast_cells, fast_pin = census.descend_cells(arr, lo, hi, levels)
+        cells, pin = replayed_cells(monkeypatch, arr, lo, hi, levels)
+        assert np.array_equal(fast_cells, cells)
+        assert np.array_equal(fast_pin, pin)
+        assert (pin == levels + 1).all()
+
+    @pytest.mark.parametrize("lo,hi,levels", [
+        ((0.1, 0.2), (0.9, 1.7), 31),          # non-dyadic
+        ((0.0,), (1.0,), 62),                  # dim 1: 62 levels
+        ((2.0 ** 52, 0.0), (2.0 ** 52 + 4, 4.0), 31),  # offset 2**52
+        ((0.0, 0.0), (2.0 ** 40, 2.0 ** 40), 31),      # side > 2**levels
+        ((0.0, 0.0), (3.0, 2.0), 31),          # side not a power of two
+        ((2.0 ** -40, 0.0), (1.0 + 2.0 ** -40, 1.0), 31),  # lo off grid
+    ])
+    def test_precondition_rejects(self, lo, hi, levels):
+        assert census._grid_scale(
+            np.array(lo), np.array(hi), levels
+        ) is None
+
+    @pytest.mark.parametrize("bounds", [
+        Rect(Point(2.0 ** 52, 0.25), Point(2.0 ** 52 + 64, 0.5)),
+        Rect(Point(-(2.0 ** 52), 0.0), Point(-(2.0 ** 52) + 8, 1.0)),
+        Rect(Point(0.0, 0.0), Point(2.0 ** 40, 2.0 ** 40)),
+        Rect(Point(-(2.0 ** 40), 0.0), Point(2.0 ** 40, 1.0)),
+    ])
+    def test_replayed_roots_match_the_tree(self, bounds):
+        lo = np.array(tuple(bounds.lo))
+        hi = np.array(tuple(bounds.hi))
+        rows = lo + np.random.default_rng(52).random((300, 2)) * (hi - lo)
+        # coarse floats near 2**52 can round a draw up onto hi
+        rows = np.minimum(rows, np.nextafter(hi, -np.inf))
+        pts = [Point(*row) for row in rows.tolist()]
+        # signed subnormals a coarse scaling would round to -0.0 / 0.0
+        y = tuple(bounds.lo)[1]
+        pts += [
+            Point(x, y) for x in (-5e-324, 5e-324, -0.0)
+            if bounds.contains_point(Point(x, y))
+        ]
+        assert_parity(pts, 1, bounds=bounds)
+        assert_parity(pts, 4, bounds=bounds, max_depth=40)
+
+    def test_signed_zero_and_subnormals_match_the_tree(self):
+        bounds = Rect(Point(-1.0, -1.0), Point(1.0, 1.0))
+        pts = [
+            Point(0.0, 0.5), Point(-5e-324, 0.5), Point(5e-324, 0.5),
+            Point(-0.0, -5e-324), Point(np.nextafter(1.0, 0.0), -1.0),
+            Point(-(2.0 ** -1022), 2.0 ** -1022),
+        ]
+        assert_parity(pts, 1, bounds=bounds)
 
 
 class TestDistinctRows:
@@ -355,6 +445,46 @@ class TestBatchKernelParity:
     def test_trials_at_or_below_capacity(self):
         arrays = self.batch(3, 4, 2, seed=2)
         self.assert_batch_parity(arrays, 8)  # every trial one root leaf
+
+    def test_duplicates_and_signed_zeros(self):
+        # duplicate rows and -0.0/0.0 pairs: each trial must census as
+        # its distinct points do, like vector_census and the tree
+        bounds = Rect(Point(-1.0, -1.0), Point(1.0, 1.0))
+        rng = np.random.default_rng(3)
+        arrays = rng.random((3, 200, 2)) * 2.0 - 1.0
+        arrays[0, 10:13] = arrays[0, 0:3]                 # 3 duplicate pairs
+        arrays[1, 5] = (0.0, 0.25)
+        arrays[1, 6] = (-0.0, 0.25)                       # equal to row 5
+        arrays[2, :100] = arrays[2, 100:]                 # all doubled
+        self.assert_batch_parity(arrays, 4, bounds=bounds)
+        parts = vector_census_batch(arrays, 4, bounds=bounds)
+        for trial, expected in enumerate((197, 199, 100)):
+            tree = PRQuadtree(capacity=4, bounds=bounds)
+            tree.insert_many(Point(*row) for row in arrays[trial].tolist())
+            assert len(tree) == expected
+            assert parts[trial].size == expected
+            assert parts[trial].occupancy_census() == tree.occupancy_census()
+            assert parts[trial].depth_census() == tree.depth_census()
+
+    def test_mixed_sizes_with_one_deep_group(self):
+        # dedupe leaves trials of unequal sizes — one at capacity, one
+        # below, one with a nextafter chain past the code budget
+        chain = [0.3]
+        for _ in range(6):
+            chain.append(np.nextafter(chain[-1], 1.0))
+        rng = np.random.default_rng(9)
+        arrays = rng.random((4, 40, 2))
+        arrays[0, :] = arrays[0, 0]                       # 1 distinct row
+        arrays[1, 4:] = arrays[1, :4][np.arange(36) % 4]  # 4 = capacity
+        arrays[2, :len(chain), 0] = chain
+        arrays[2, :len(chain), 1] = 0.75
+        self.assert_batch_parity(arrays, 4)
+        self.assert_batch_parity(arrays, 2, max_depth=45)
+        parts = vector_census_batch(arrays, 4)
+        assert [p.size for p in parts[:2]] == [1, 4]
+        assert [p.leaf_count for p in parts[:2]] == [1, 1]
+        assert parts[2].height() > 62 // 2
+        assert parts[3].height() <= 62 // 2
 
     def test_empty_batch(self):
         assert vector_census_batch(np.empty((0, 10, 2)), 4) == []

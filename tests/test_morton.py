@@ -105,6 +105,33 @@ class TestInterleaveMany:
         codes = interleave_many(np.array([[top, top]]), 31)
         assert int(codes[0]) == interleave((top, top), 31)
 
+    @pytest.mark.parametrize("dim,bits", [(1, 62), (2, 31), (3, 20)])
+    def test_mask_spread_matches_scalar_at_full_budget(self, dim, bits):
+        import numpy as np
+
+        from repro.geometry import interleave_many
+
+        rng = np.random.default_rng(bits)
+        rows = rng.integers(0, 1 << bits, size=(200, dim), dtype=np.uint64)
+        rows[0] = (1 << bits) - 1
+        rows[1] = 0
+        rows[2] = [(1 << bits) - 1 if a % 2 else 0 for a in range(dim)]
+        codes = interleave_many(rows, bits)
+        assert codes.tolist() == [
+            interleave([int(v) for v in row], bits) for row in rows
+        ]
+
+    def test_loop_dims_match_scalar(self):
+        import numpy as np
+
+        from repro.geometry import interleave_many
+
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 1 << 15, size=(50, 4))
+        assert interleave_many(rows, 15).tolist() == [
+            interleave(row.tolist(), 15) for row in rows
+        ]
+
     def test_validation_matches_scalar(self):
         import numpy as np
 
