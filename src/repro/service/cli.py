@@ -76,9 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "cold start; default: %(default)s)")
     start.add_argument("--preload-seed", type=int, default=1987,
                        help="RNG seed for --preload (default: %(default)s)")
-    start.add_argument("--commit-interval", type=float, default=0.002,
-                       help="max seconds a group commit waits for "
-                            "stragglers (default: %(default)s)")
     start.add_argument("--max-batch", type=int, default=512,
                        help="max mutations per group commit "
                             "(default: %(default)s)")
@@ -213,10 +210,9 @@ def _cmd_start(args: argparse.Namespace) -> int:
     if db_path is not None:
         recorder = ServeTelemetryRecorder(db_path, label=f"serve {args.path}")
 
-    async def _serve() -> None:
+    async def _serve() -> str:
         server = SpatialIndexServer(
             tree, wal, host=args.host, port=args.port,
-            commit_interval=args.commit_interval,
             max_batch=args.max_batch,
             checkpoint_every=args.checkpoint_every,
             drift_threshold=args.drift_threshold,
@@ -244,12 +240,13 @@ def _cmd_start(args: argparse.Namespace) -> int:
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # e.g. non-main thread or Windows
         await server.serve_forever()
+        return server.writer_state
 
     if tracer is not None:
         with tracing(tracer):
-            asyncio.run(_serve())
+            writer_state = asyncio.run(_serve())
     else:
-        asyncio.run(_serve())
+        writer_state = asyncio.run(_serve())
     if recorder is not None:
         recorder.finish(tracer)
     print("server stopped")
@@ -262,6 +259,10 @@ def _cmd_start(args: argparse.Namespace) -> int:
     if args.verbose and tracer is not None:
         print()
         print(tracer.render())
+    if writer_state != "ok":
+        print(f"error: {writer_state}; restart to recover from the WAL",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -289,6 +290,7 @@ def _cmd_stat(args: argparse.Namespace) -> int:
           f"{stats['total_sessions']} total; "
           f"wal {stats['wal_records']} records, "
           f"{stats['mutations_since_checkpoint']} since checkpoint")
+    print(f"  writer   : {stats['writer_state']}")
     if stats["ops"]:
         ops = ", ".join(
             f"{name}={count}" for name, count in sorted(stats["ops"].items())

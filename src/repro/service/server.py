@@ -6,12 +6,27 @@
 :class:`~repro.service.session.Session` per connection).
 
 **Write path.**  All mutations funnel through one queue into a single
-writer task.  The writer drains a batch (up to ``max_batch``, waiting
-at most ``commit_interval`` for stragglers), appends every record to
-the :class:`~repro.service.wal.WriteAheadLog`, makes the whole batch
+writer task.  The writer commits at once: it takes the first queued
+mutation plus whatever else is already queued (up to ``max_batch``,
+never waiting for stragglers), appends every record to the
+:class:`~repro.service.wal.WriteAheadLog`, makes the whole batch
 durable with **one fsync** (the group commit), then applies it to the
-tree and resolves the waiting acks.  Acknowledged means fsynced: a
-SIGKILL at any instant loses nothing a client was told succeeded.
+tree and resolves the waiting acks.  The fsync blocks the event loop,
+so under load the next batch is whatever sessions queued meanwhile —
+leader/follower group commit on one loop, with no added wait when
+idle.  Acknowledged means fsynced: a SIGKILL at any instant loses
+nothing a client was told succeeded.
+
+**Fail-stop.**  Any error in a commit — a failed WAL fsync, a tree
+insert or delete that raises, a failed checkpoint or drift sample —
+poisons the writer.  Every unacknowledged mutation, queued or in the
+failing batch, fails with a :class:`ServiceError` naming the cause;
+logged mutations that were never applied are truncated from the WAL;
+later mutations are refused with the same error; and the fsync is
+never retried.  Reads keep being served, and ``stat`` / ``metrics``
+report the ``writer_state``.  :meth:`SpatialIndexServer.stop` then
+closes without publishing a checkpoint, so a restart recovers from
+the WAL exactly as after a SIGKILL.
 
 **Read path.**  Reads (``range`` / ``nearest`` / ``census`` / ``stat``)
 run directly on the event loop.  The tree calls are synchronous and
@@ -23,8 +38,8 @@ at atomic checkpoints.
 
 **Checkpoints.**  Every ``checkpoint_every`` mutations (or on the
 ``checkpoint`` op) the server publishes a new page-file image via the
-storage engine's write-temp-then-rename checkpoint, then atomically
-rotates in a fresh WAL stamped with the new generation.  The ordering
+storage engine's durable write-temp-then-rename checkpoint, then
+durably rotates in a fresh WAL stamped with the new generation.  The ordering
 makes every crash window safe — see :func:`open_state`, which walks
 the same windows in reverse at startup.
 """
@@ -32,6 +47,8 @@ the same windows in reverse at startup.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import logging
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -40,9 +57,9 @@ from .. import obs
 from ..geometry import Point
 from ..storage.paged_tree import PagedPRQuadtree
 from .monitor import DEFAULT_THRESHOLD, DriftMonitor, DriftSample
-from .session import Session
+from .session import ServiceError, Session
 from .telemetry import DEFAULT_SLOW_K, MetricsCursor, ServiceTelemetry
-from .wal import OP_DELETE, OP_INSERT, WriteAheadLog
+from .wal import OP_DELETE, OP_INSERT, WalError, WriteAheadLog
 
 #: Page-file metadata key naming the checkpoint generation the image
 #: captures; the WAL header stores the generation it extends.
@@ -51,9 +68,7 @@ GENERATION_KEY = "service_generation"
 #: The WAL lives next to the page file it protects.
 WAL_SUFFIX = ".wal"
 
-
-class ServiceError(RuntimeError):
-    """The serving layer cannot start or continue safely."""
+_log = logging.getLogger(__name__)
 
 
 def wal_path_for(path: Union[str, Path]) -> Path:
@@ -158,7 +173,6 @@ class SpatialIndexServer:
         wal: WriteAheadLog,
         host: str = "127.0.0.1",
         port: int = 0,
-        commit_interval: float = 0.002,
         max_batch: int = 512,
         checkpoint_every: int = 50_000,
         drift_every: int = 2_000,
@@ -168,10 +182,6 @@ class SpatialIndexServer:
         telemetry_sink=None,
         slow_k: int = DEFAULT_SLOW_K,
     ):
-        if commit_interval < 0:
-            raise ValueError(
-                f"commit_interval must be >= 0, got {commit_interval}"
-            )
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if checkpoint_every < 1:
@@ -182,7 +192,6 @@ class SpatialIndexServer:
         self._wal = wal
         self._host = host
         self._port = port
-        self._commit_interval = commit_interval
         self._max_batch = max_batch
         self._checkpoint_every = checkpoint_every
         self._drift_every = drift_every
@@ -206,6 +215,11 @@ class SpatialIndexServer:
         self._mutations_since_checkpoint = 0
         self._mutations_since_drift = 0
         self._last_drift: Optional[DriftSample] = None
+        #: WAL records the tree holds (replayed ones included): on a
+        #: writer failure the log is truncated back to these
+        self._applied = wal.record_count
+        #: "ok", or the error that stopped the writer (fail-stop)
+        self._writer_state = "ok"
         # holds (op, point, ack-future, phases) tuples; None is the
         # shutdown sentinel stop() appends after the last accepted
         # mutation.  ``phases`` is an optional per-request breakdown
@@ -256,6 +270,11 @@ class SpatialIndexServer:
         """The served tree (event-loop use only)."""
         return self._tree
 
+    @property
+    def writer_state(self) -> str:
+        """``"ok"``, or the error text that stopped the writer."""
+        return self._writer_state
+
     def request_shutdown(self) -> None:
         """Ask :meth:`serve_forever` to return (idempotent)."""
         self._stop_event.set()
@@ -270,7 +289,11 @@ class SpatialIndexServer:
             await self.stop()
 
     async def stop(self) -> None:
-        """Stop accepting, drain the write queue, checkpoint, close."""
+        """Stop accepting, drain the write queue, checkpoint, close.
+
+        A poisoned server publishes no checkpoint: it closes the log
+        and the page file as they are, and a restart replays the log.
+        """
         if self._closed:
             return
         self._closed = True  # enqueue_mutation refuses from here on
@@ -290,7 +313,17 @@ class SpatialIndexServer:
             # the writer commits everything pending and exits cleanly
             self._queue.put_nowait(None)
             await self._writer_task
-        self._checkpoint()
+        if self._writer_state == "ok":
+            # a failing checkpoint poisons the writer: closed as below
+            with contextlib.suppress(ServiceError):
+                self.checkpoint()
+        if self._writer_state != "ok":
+            # fail-stop: publish nothing, never retry an fsync; a
+            # restart replays the WAL as it does after SIGKILL
+            with contextlib.suppress(OSError):
+                self._wal.close(sync=False)
+            self._tree.pagefile.close(checkpoint=False)
+            return
         self._wal.close()
         self._tree.close()
 
@@ -309,7 +342,8 @@ class SpatialIndexServer:
         awaiting is what lets a session fix one connection's mutation
         order at frame-receipt time while still batching many acks into
         one group commit.  Bounds violations surface as ``ValueError``
-        here, before anything touches the log.
+        here, before anything touches the log; a poisoned writer or a
+        stopping server refuses with :class:`ServiceError`.
 
         ``phases``, when given, is filled by the commit with the
         request's span breakdown (``queue_s`` wait, the batch's shared
@@ -319,6 +353,8 @@ class SpatialIndexServer:
             raise ValueError(
                 f"point {list(point.coords)} outside tree bounds"
             )
+        if self._writer_state != "ok":
+            raise ServiceError(self._writer_state)
         if self._closed:
             raise ServiceError("server is shutting down")
         if phases is not None:
@@ -332,31 +368,41 @@ class SpatialIndexServer:
         return await self.enqueue_mutation(op, point)
 
     async def _writer_loop(self) -> None:
-        loop = asyncio.get_event_loop()
         while True:
-            first = await self._queue.get()
-            if first is None:  # shutdown sentinel, queue already drained
-                return
-            batch = [first]
-            deadline = loop.time() + self._commit_interval
-            stopping = False
-            while len(batch) < self._max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0 and self._queue.empty():
-                    break
+            # commit at once: the batch is what is queued right now —
+            # under load, whatever arrived during the previous fsync
+            batch = [await self._queue.get()]
+            while (batch[-1] is not None
+                   and len(batch) < self._max_batch
+                   and not self._queue.empty()):
+                batch.append(self._queue.get_nowait())
+            stopping = batch[-1] is None  # shutdown sentinel, FIFO-last
+            if stopping:
+                batch.pop()
+            if batch and self._writer_state == "ok":
                 try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), max(remaining, 0.0)
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if item is None:
-                    stopping = True
-                    break
-                batch.append(item)
-            self._commit_batch(batch)
+                    self._commit_batch(batch)
+                except Exception as exc:
+                    self._poison(exc)
+            if self._writer_state != "ok":
+                for _, _, future, _ in batch:
+                    if not future.done():
+                        future.set_exception(
+                            ServiceError(self._writer_state)
+                        )
             if stopping:
                 return
+
+    def _poison(self, exc: BaseException) -> None:
+        """Fail-stop: refuse every later mutation with ``exc`` named,
+        and take back what the log holds but the tree never got."""
+        self._writer_state = (
+            f"writer failed: {str(exc) or type(exc).__name__}"
+        )
+        obs.count("service.writer.failures")
+        _log.error("%s; refusing mutations", self._writer_state, exc_info=exc)
+        with contextlib.suppress(OSError, WalError):
+            self._wal.truncate(self._applied)
 
     def _commit_batch(
         self, batch: List[Tuple[int, Point, asyncio.Future, Optional[Dict[str, float]]]]
@@ -381,6 +427,7 @@ class SpatialIndexServer:
                 result = self._tree.insert(point)
             else:
                 result = self._tree.delete(point)
+            self._applied += 1
             if phases is not None:
                 enqueued = phases.pop("_enqueued_at", began)
                 phases["queue_s"] = max(began - enqueued, 0.0)
@@ -400,6 +447,18 @@ class SpatialIndexServer:
             self._sample_drift()
         if self._mutations_since_checkpoint >= self._checkpoint_every:
             self._checkpoint()
+
+    def checkpoint(self) -> int:
+        """Publish a checkpoint now (the ``checkpoint`` op); returns the
+        new generation.  A failure poisons the writer, like any commit
+        failure, and raises :class:`ServiceError`."""
+        if self._writer_state != "ok":
+            raise ServiceError(self._writer_state)
+        try:
+            return self._checkpoint()
+        except Exception as exc:
+            self._poison(exc)
+            raise ServiceError(self._writer_state) from exc
 
     def _checkpoint(self) -> int:
         """Publish a new atomic checkpoint and rotate the WAL.
@@ -427,6 +486,7 @@ class SpatialIndexServer:
                 wal_path, next_generation, self._tree.dim
             )
             self._generation = next_generation
+            self._applied = 0
             self._mutations_since_checkpoint = 0
         obs.count("service.checkpoints")
         return self._generation
@@ -476,6 +536,7 @@ class SpatialIndexServer:
             "requests": self.telemetry.requests,
             "ops": dict(self.op_counts),
             "queue_depth": self._queue.qsize(),
+            "writer_state": self._writer_state,
             "pool_hit_rate": self._tree.pool.hit_rate,
             "counters": {},
             "gauges": {},
@@ -533,6 +594,7 @@ class SpatialIndexServer:
             "total_sessions": self.total_sessions,
             "ops": dict(self.op_counts),
             "protocol_errors": self.protocol_errors,
+            "writer_state": self._writer_state,
             "wal_records": self._wal.record_count,
             "mutations_since_checkpoint": self._mutations_since_checkpoint,
             "pool": tree_stats["pool"],

@@ -52,6 +52,11 @@ class RequestError(ValueError):
     connection stays up)."""
 
 
+class ServiceError(RuntimeError):
+    """The serving layer cannot start or continue safely (a stopping
+    server, or a writer that failed and refuses mutations)."""
+
+
 def _parse_point(value: Any, dim: int, field: str = "point") -> Point:
     if not isinstance(value, (list, tuple)) or not value:
         raise RequestError(f"'{field}' must be a non-empty coordinate list")
@@ -142,7 +147,7 @@ class Session:
                 future = self._server.enqueue_mutation(
                     _MUTATIONS[name], point, phases=phases
                 )
-            except (RequestError, ValueError) as exc:
+            except (RequestError, ValueError, ServiceError) as exc:
                 await self._send(
                     name, began,
                     {"id": request_id, "ok": False, "error": str(exc)},
@@ -169,7 +174,7 @@ class Session:
             phases["handler_s"] = time.perf_counter() - handler_began
             response = {"id": request_id, "ok": True, "result": result}
             failed = False
-        except (RequestError, ValueError) as exc:
+        except (RequestError, ValueError, ServiceError) as exc:
             response = {"id": request_id, "ok": False, "error": str(exc)}
             failed = True
         await self._send(
@@ -259,7 +264,7 @@ class Session:
         if name == "checkpoint":
             # safe to run inline: the writer only commits between
             # awaits, and _commit_batch never yields mid-batch
-            return server._checkpoint()
+            return server.checkpoint()
         if name == "shutdown":
             server.request_shutdown()
             return True

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +40,7 @@ from typing import List, Tuple, Union
 
 from .. import obs
 from ..geometry import Point
+from ..storage.pagefile import durable_replace
 
 WAL_MAGIC = b"RPROWL01"
 _WAL_HEADER = struct.Struct("<8sQH")
@@ -101,8 +101,9 @@ class WriteAheadLog:
         only a header for ``generation``, and open it for appending.
 
         Replacing is deliberate: checkpoint rotation installs the new
-        empty log *over* the old one in one ``os.replace``, so a crash
-        at any instant leaves either the full old log or the fresh new
+        empty log *over* the old one with
+        :func:`~repro.storage.pagefile.durable_replace`, so a crash at
+        any instant leaves either the full old log or the fresh new
         one, never a partial hybrid.
         """
         path = Path(path)
@@ -111,22 +112,7 @@ class WriteAheadLog:
         if generation < 0:
             raise ValueError(f"generation must be >= 0, got {generation}")
         fixed = _WAL_HEADER.pack(WAL_MAGIC, generation, dim)
-        header = fixed + _CRC.pack(zlib.crc32(fixed))
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name, suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        durable_replace(path, fixed + _CRC.pack(zlib.crc32(fixed)))
         handle = open(path, "r+b")
         handle.seek(0, os.SEEK_END)
         return cls(path, handle, generation, dim)
@@ -258,11 +244,31 @@ class WriteAheadLog:
             obs.gauge("service.wal.group_size", float(batch))
         return batch
 
-    def close(self) -> None:
-        """Sync any buffered records and release the handle."""
+    def truncate(self, records: int) -> None:
+        """Drop every record after the first ``records`` — how a failed
+        commit takes back what it logged but never applied, so a
+        restart does not replay mutations whose clients were told they
+        failed.  Deliberately not synced: after a failed fsync nothing
+        more is trusted to the disk, so a power loss may undo the
+        truncation."""
+        if self._closed:
+            raise WalError("write-ahead log is closed")
+        dropped = self._appended - records
+        if dropped > 0:
+            size = _WAL_HEADER.size + _CRC.size + records * (
+                _RECORD_PREFIX.size + 1 + self._point_struct.size
+            )
+            self._file.truncate(size)
+            self._file.seek(size)
+            self._appended = records
+            self._unsynced = max(self._unsynced - dropped, 0)
+
+    def close(self, sync: bool = True) -> None:
+        """Sync any buffered records (unless ``sync`` is false: a failed
+        writer never retries an fsync) and release the handle."""
         if self._closed:
             return
-        if self._unsynced:
+        if sync and self._unsynced:
             self.sync()
         self._file.close()
         self._closed = True

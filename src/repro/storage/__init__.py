@@ -25,6 +25,7 @@ from .pagefile import (
     PageFile,
     PageFileStats,
     StorageError,
+    durable_replace,
 )
 from .paged_tree import PagedPRQuadtree, required_page_size
 from .pool import (
@@ -50,5 +51,6 @@ __all__ = [
     "SlottedPage",
     "StorageError",
     "bulk_load_paged",
+    "durable_replace",
     "required_page_size",
 ]

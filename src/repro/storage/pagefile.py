@@ -11,9 +11,10 @@ Durability is **checkpoint-shaped**: reads come from the last
 checkpointed image; writes accumulate in a pending overlay (the buffer
 pool above writes back evicted dirty pages into it) and become durable
 only when :meth:`checkpoint` publishes a complete new image via
-write-temp-then-``os.replace``.  The on-disk file is therefore always
-a *consistent* snapshot — a crash at any instant leaves either the old
-checkpoint or the new one, never a half-written hybrid.
+:func:`durable_replace` (write a temp file, fsync, rename, fsync the
+directory).  The on-disk file is therefore always a *consistent*
+snapshot — a crash at any instant leaves either the old checkpoint or
+the new one, never a half-written hybrid.
 
 The header carries a small JSON metadata blob for the layer above
 (:class:`~repro.storage.paged_tree.PagedPRQuadtree` records its
@@ -131,7 +132,7 @@ class PageFile:
                 f"metadata ({len(header)} bytes with header) does not fit "
                 f"in one {page_size}-byte page"
             )
-        _atomic_write(path, header.ljust(page_size, b"\0"))
+        durable_replace(path, header.ljust(page_size, b"\0"))
         return cls.open(path)
 
     @classmethod
@@ -338,10 +339,9 @@ class PageFile:
     def checkpoint(self) -> None:
         """Publish all pending writes as a new on-disk image.
 
-        The image is written to a temp file in the same directory,
-        fsynced, then renamed over the old file — the classic atomic
-        write, so readers (and crashes) only ever see complete
-        checkpoints.
+        The image is published with :func:`durable_replace`, so readers
+        (and crashes) only ever see complete checkpoints, and a
+        published one survives power loss.
         """
         if self._closed:
             raise StorageError("page file is closed")
@@ -366,7 +366,7 @@ class PageFile:
                 else:
                     self._file.seek(self._page_size * (1 + pid))
                     chunks.append(self._file.read(self._page_size))
-            _atomic_write(self._path, b"".join(chunks))
+            durable_replace(self._path, b"".join(chunks))
             self._file.close()
             self._file = open(self._path, "rb")
             self._base_count = self._page_count
@@ -406,8 +406,16 @@ class PageFile:
         )
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via temp file + fsync + rename."""
+def durable_replace(path: Union[str, Path], data: bytes) -> None:
+    """Atomically and durably replace ``path`` with ``data``.
+
+    The bytes go to a temp file beside ``path``, which is fsynced and
+    renamed over ``path``; then the directory is fsynced, because the
+    rename lives in the directory entry and is not durable until the
+    directory is.  A crash at any instant leaves the old file or the
+    new one, and a power loss after return keeps the new one.
+    """
+    path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
         prefix=path.name, suffix=".tmp", dir=path.parent
     )
@@ -423,3 +431,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

@@ -1,14 +1,26 @@
-"""SpatialIndexServer: ops over the wire, batching, checkpoints."""
+"""SpatialIndexServer: ops over the wire, batching, checkpoints,
+commit at once, and fail-stop under injected faults."""
 
 import asyncio
+import errno
+import os
+import threading
 
 import pytest
 
 from repro.geometry import Point, Rect
 from repro.obs import Tracer, tracing
 from repro.quadtree import PRQuadtree
-from repro.service import SpatialIndexServer, open_state, wal_path_for
+from repro.service import (
+    ServiceError,
+    SpatialIndexServer,
+    open_state,
+    wal_path_for,
+)
+from repro.service.cli import main as serve_main
 from repro.service.loadgen import ServiceClient
+from repro.service.wal import OP_INSERT
+from repro.storage import PagedPRQuadtree, PageFile
 from repro.workloads import UniformPoints
 
 
@@ -209,6 +221,191 @@ class TestBatchingAndCheckpoints:
         assert _with_server(tmp_path, go) == 1
 
 
+class TestCommitAtOnce:
+    def test_idle_mutation_acks_without_a_timer(self, tmp_path):
+        async def go():
+            tree, wal, _ = open_state(
+                tmp_path / "state.pf", create=True, capacity=4
+            )
+            server = SpatialIndexServer(tree, wal, port=0)
+            await server.start()
+            try:
+                future = server.enqueue_mutation(OP_INSERT, Point(0.5, 0.5))
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                return future.done() and future.result()
+            finally:
+                await server.stop()
+
+        assert asyncio.run(go()) is True
+
+
+def _inject(monkeypatch, owner, name, fault, calls):
+    """Make ``owner.name`` raise ``fault`` from its ``calls``-th call
+    on; returns the list of calls seen."""
+    real = getattr(owner, name)
+    seen = []
+
+    def injected(*args):
+        seen.append(args)
+        if len(seen) >= calls:
+            raise fault
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, injected)
+    return seen
+
+
+def _inject_fsync_eio(monkeypatch):
+    return _inject(monkeypatch, os, "fsync",
+                   OSError(errno.EIO, os.strerror(errno.EIO)), calls=3)
+
+
+def _inject_insert_fault(monkeypatch):
+    return _inject(monkeypatch, PagedPRQuadtree, "insert",
+                   RuntimeError("injected handler fault"), calls=20)
+
+
+def _inject_checkpoint_enospc(monkeypatch):
+    return _inject(monkeypatch, PageFile, "checkpoint",
+                   OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), calls=1)
+
+
+class TestFailStop:
+    """A commit failure reaches every waiting client, blocks later
+    writes, keeps reads up, and loses no acknowledged mutation."""
+
+    @pytest.mark.parametrize("inject, error, server_kwargs, calls", [
+        (_inject_fsync_eio, f"[Errno {errno.EIO}]", {}, 3),
+        (_inject_insert_fault, "injected handler fault", {}, 20),
+        (_inject_checkpoint_enospc, f"[Errno {errno.ENOSPC}]",
+         {"checkpoint_every": 24}, 1),
+    ], ids=["fsync-eio", "insert-raises", "checkpoint-enospc"])
+    def test_fault_fails_every_waiter_and_recovers_acked_set(
+        self, tmp_path, monkeypatch, inject, error, server_kwargs, calls
+    ):
+        points = UniformPoints(seed=16).generate(120)
+        expected = f"writer failed: {error}"
+
+        async def go():
+            tree, wal, _ = open_state(
+                tmp_path / "state.pf", create=True, capacity=4
+            )
+            # small batches, so the fault lands mid-stream
+            server = SpatialIndexServer(
+                tree, wal, port=0, max_batch=8, **server_kwargs
+            )
+            await server.start()
+            clients = [
+                await ServiceClient.connect(*server.address)
+                for _ in range(3)
+            ]
+            seen = inject(monkeypatch)
+            try:
+                sent = [
+                    (p, await clients[i % 3].submit(
+                        "insert", point=list(p.coords)
+                    ))
+                    for i, p in enumerate(points)
+                ]
+                responses = await asyncio.wait_for(
+                    asyncio.gather(*(f for _, f in sent)), timeout=10
+                )
+                later = await asyncio.wait_for(
+                    clients[0].call("insert", point=[0.5, 0.5]), timeout=10
+                )
+                box = await asyncio.wait_for(
+                    clients[1].call("range", lo=[0.0, 0.0], hi=[1.0, 1.0]),
+                    timeout=10,
+                )
+                stat = await clients[2].call("stat")
+                metrics = await clients[2].call("metrics")
+                refused_checkpoint = await clients[2].call("checkpoint")
+            finally:
+                for client in clients:
+                    await client.close()
+                await asyncio.wait_for(server.stop(), timeout=10)
+            acked = {
+                p.coords for (p, _), r in zip(sent, responses) if r["ok"]
+            }
+            failed = [r for r in responses if not r["ok"]]
+            return (acked, failed, later, box, stat, metrics,
+                    refused_checkpoint, len(seen))
+
+        acked, failed, later, box, stat, metrics, refused, seen = \
+            asyncio.run(go())
+        assert seen == calls  # the fault fired once, never retried
+        assert failed, "the fault never reached a client"
+        assert all(r["error"].startswith(expected) for r in failed)
+        assert len(acked) + len(failed) == len(points)
+        assert later["ok"] is False and later["error"].startswith(expected)
+        assert refused["ok"] is False
+        assert box["ok"] is True
+        assert {tuple(p) for p in box["result"]} == acked
+        assert stat["result"]["writer_state"].startswith(expected)
+        assert metrics["result"]["writer_state"].startswith(expected)
+
+        monkeypatch.undo()
+        tree, wal, _ = open_state(tmp_path / "state.pf")
+        try:
+            assert {p.coords for p in tree.range_search(tree.bounds)} == acked
+            assert len(tree) == len(acked)
+        finally:
+            wal.close()
+            tree.close()
+
+    def test_healthy_server_reports_writer_ok(self, tmp_path):
+        async def go(server, client):
+            await client.call("insert", point=[0.5, 0.5])
+            stat = await client.call("stat")
+            metrics = await client.call("metrics")
+            return stat["result"], metrics["result"]
+
+        stat, metrics = _with_server(tmp_path, go)
+        assert stat["writer_state"] == metrics["writer_state"] == "ok"
+
+    def test_serve_stat_prints_the_writer_state(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the server runs on its own loop, since `serve stat` runs one
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+
+        def run(coroutine):
+            return asyncio.run_coroutine_threadsafe(coroutine, loop).result(10)
+
+        async def start():
+            tree, wal, _ = open_state(
+                tmp_path / "state.pf", create=True, capacity=4
+            )
+            server = SpatialIndexServer(tree, wal, port=0)
+            await server.start()
+            return server
+
+        async def failed_checkpoint():
+            _inject_checkpoint_enospc(monkeypatch)
+            with pytest.raises(ServiceError):
+                server.checkpoint()
+
+        server = run(start())
+        try:
+            argv = ["stat", "--port", str(server.address[1])]
+            assert serve_main(argv) == 0
+            healthy = capsys.readouterr().out
+            run(failed_checkpoint())
+            assert serve_main(argv) == 0
+            poisoned = capsys.readouterr().out
+        finally:
+            run(server.stop())
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(10)
+            loop.close()
+        assert "\n  writer   : ok\n" in healthy
+        assert f"\n  writer   : writer failed: [Errno {errno.ENOSPC}]" \
+            in poisoned
+
+
 class TestLifecycle:
     def test_shutdown_op_stops_serve_forever(self, tmp_path):
         async def go():
@@ -264,6 +461,29 @@ class TestLifecycle:
         results = asyncio.run(go())
         assert len(results) == 40
         assert all(results)
+
+    def test_stopping_server_refuses_mutations_over_the_wire(self, tmp_path):
+        async def go():
+            tree, wal, _ = open_state(
+                tmp_path / "state.pf", create=True, capacity=4
+            )
+            server = SpatialIndexServer(tree, wal, port=0)
+            await server.start()
+            client = await ServiceClient.connect(*server.address)
+            server._closed = True  # what stop() sets first
+            try:
+                return await asyncio.wait_for(
+                    client.call("insert", point=[0.5, 0.5]), timeout=10
+                )
+            finally:
+                await client.close()
+                server._closed = False
+                await server.stop()
+
+        response = asyncio.run(go())
+        assert response == {
+            "id": 1, "ok": False, "error": "server is shutting down",
+        }
 
     def test_open_state_missing_file_without_create(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,5 +1,7 @@
 """Write-ahead log: roundtrip, torn tails, generations, rotation."""
 
+import os
+import stat
 import struct
 
 import pytest
@@ -158,9 +160,59 @@ class TestRotation:
         finally:
             wal.close()
 
+    def test_rotation_fsyncs_the_directory(self, tmp_path, monkeypatch):
+        path = _populate(tmp_path / "log.wal", generation=3)
+        real = os.fsync
+        dirs = []
+
+        def fsync(fd):
+            dirs.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        WriteAheadLog.create(path, 4, 2).close()
+        assert dirs == [False, True]  # the new log, then its rename
+
     def test_no_tmp_litter_on_create(self, tmp_path):
         _populate(tmp_path / "log.wal")
         assert [p.name for p in tmp_path.iterdir()] == ["log.wal"]
+
+
+class TestTruncate:
+    """How a failed commit takes back records it never applied."""
+
+    def test_truncate_drops_the_tail_and_appends_continue(self, tmp_path):
+        path = _populate(tmp_path / "log.wal")
+        wal, _ = WriteAheadLog.open(path)
+        wal.append(OP_INSERT, Point(0.9, 0.9))  # logged, never synced
+        wal.truncate(1)
+        assert (wal.record_count, wal.unsynced) == (1, 0)
+        wal.append(OP_DELETE, Point(0.8, 0.8))
+        wal.close()
+        wal, records = WriteAheadLog.open(path)
+        wal.close()
+        assert records == [
+            WalRecord(OP_INSERT, _POINTS[0]),
+            WalRecord(OP_DELETE, Point(0.8, 0.8)),
+        ]
+
+    def test_truncate_past_the_end_is_a_no_op(self, tmp_path):
+        path = _populate(tmp_path / "log.wal")
+        size = path.stat().st_size
+        wal, _ = WriteAheadLog.open(path)
+        wal.truncate(3)
+        wal.close()
+        assert path.stat().st_size == size
+
+    def test_close_without_sync_skips_the_fsync(self, tmp_path, monkeypatch):
+        wal = WriteAheadLog.create(tmp_path / "log.wal", 0, 2)
+        wal.append(OP_INSERT, Point(0.1, 0.1))
+
+        def fsync(fd):
+            raise AssertionError("close(sync=False) must not fsync")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        wal.close(sync=False)
 
 
 class TestValidation:

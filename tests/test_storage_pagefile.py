@@ -1,6 +1,8 @@
-"""Page file: creation, checksums, free list, atomic checkpoints."""
+"""Page file: creation, checksums, free list, atomic checkpoints,
+durable renames."""
 
 import os
+import stat
 
 import pytest
 
@@ -9,7 +11,25 @@ from repro.storage.pagefile import (
     PageCorruptionError,
     PageFile,
     StorageError,
+    durable_replace,
 )
+
+
+def _record_fsyncs(monkeypatch, path):
+    """Record, per ``os.fsync`` call, whether the descriptor is a
+    directory and what ``path`` held at that moment."""
+    real = os.fsync
+    calls = []
+
+    def fsync(fd):
+        calls.append((
+            stat.S_ISDIR(os.fstat(fd).st_mode),
+            path.read_bytes() if path.exists() else None,
+        ))
+        return real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
 
 
 @pytest.fixture
@@ -167,6 +187,18 @@ class TestCheckpoint:
         g.close(checkpoint=False)
         f.close(checkpoint=False)
 
+    def test_checkpoint_fsyncs_the_directory_after_the_rename(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "a.pf"
+        f = PageFile.create(path, page_size=256)
+        f.write_page(f.allocate(), b"durable")
+        calls = _record_fsyncs(monkeypatch, path)
+        f.checkpoint()
+        f.close()
+        assert [is_dir for is_dir, _ in calls] == [False, True]
+        assert calls[-1][1] == path.read_bytes()  # renamed before
+
     def test_no_temp_litter_after_checkpoint(self, tmp_path):
         path = tmp_path / "a.pf"
         f = PageFile.create(path, page_size=256)
@@ -223,3 +255,30 @@ class TestCheckpoint:
         assert s.free_pages == 1
         assert s.data_pages == 1
         assert s.page_size == 256
+
+
+class TestDurableReplace:
+    def test_fsyncs_file_then_parent_directory(self, tmp_path, monkeypatch):
+        path = tmp_path / "target"
+        path.write_bytes(b"old")
+        calls = _record_fsyncs(monkeypatch, path)
+        durable_replace(path, b"new")
+        # the temp file is synced while the old bytes are still in
+        # place; the directory after the rename published the new ones
+        assert calls == [(False, b"old"), (True, b"new")]
+        assert os.listdir(tmp_path) == ["target"]
+
+    def test_failed_rename_keeps_old_file_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "target"
+        path.write_bytes(b"old")
+
+        def replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            durable_replace(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["target"]
