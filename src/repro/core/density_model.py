@@ -26,7 +26,6 @@ from typing import Dict, Optional
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import norm
 
 from ..geometry import Rect
 
@@ -69,6 +68,10 @@ class TruncatedGaussianDensity(Density):
 
     def __init__(self, bounds: Optional[Rect] = None,
                  sigma_fraction: float = 0.4):
+        # imported on first use: scipy.stats is slow to load and only
+        # this density needs it
+        from scipy.stats import norm
+
         super().__init__(bounds)
         if sigma_fraction <= 0:
             raise ValueError("sigma_fraction must be positive")
@@ -89,6 +92,8 @@ class TruncatedGaussianDensity(Density):
         ]
 
     def block_mass(self, rect: Rect) -> float:
+        from scipy.stats import norm
+
         mass = 1.0
         for i in range(self._bounds.dim):
             z_hi = (rect.hi[i] - self._center[i]) / self._sigma[i]

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .. import obs
 
@@ -205,6 +204,10 @@ def solve_newton(
         e0 = np.asarray(initial, dtype=float)
         e0 = e0 / e0.sum()
     x0 = np.concatenate([e0, [float(e0 @ row_totals)]])
+    # imported on first use: scipy.optimize is slow to load and only
+    # this solver needs it
+    from scipy import optimize
+
     with obs.span("solver.newton"):
         result = optimize.root(equations, x0, jac=jacobian, method="hybr")
     if not result.success:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..quadtree.census import OccupancyCensus
 
@@ -94,6 +93,8 @@ def chi_squared_fit(
         )
     dof = len(obs_pooled) - 1
     statistic = float(((obs_pooled - exp_pooled) ** 2 / exp_pooled).sum())
+    from scipy import stats
+
     p_value = float(stats.chi2.sf(statistic, dof))
 
     observed_p = observed / total

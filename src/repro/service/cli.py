@@ -160,46 +160,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _preload(args: argparse.Namespace) -> None:
-    """Bulk-load a seeded point set into a fresh state file so the
-    server cold-starts warm (one sequential page pass, no pool churn).
-    ``open_state`` then opens it and creates the missing WAL at the
-    stamped generation."""
-    from ..storage.bulkload import bulk_load_paged
-    from ..workloads import UniformPoints
-    from .server import GENERATION_KEY
-
-    points = UniformPoints(dim=args.dim, seed=args.preload_seed).generate(
-        args.preload
-    )
-    tree = bulk_load_paged(
-        args.path, points, capacity=args.capacity, dim=args.dim,
-        page_size=args.page_size, pool_pages=args.pool_pages,
-    )
-    try:
-        tree.pagefile.update_meta({GENERATION_KEY: 0})
-        tree.checkpoint()
-        loaded = len(tree)
-    finally:
-        tree.close()
-    print(f"preloaded {args.path}: {loaded} points "
-          f"(seed {args.preload_seed}, bulk)")
-
-
 def _cmd_start(args: argparse.Namespace) -> int:
     # tracing defaults ON: the metrics op, serve telemetry flushes, and
     # p50/p99 in `serve top` all read the ambient tracer
     tracer = None if args.no_trace else Tracer()
+    preload = args.preload > 0 and not Path(args.path).exists()
     try:
-        if args.preload > 0 and not Path(args.path).exists():
-            _preload(args)
+        points = None
+        if preload:
+            from ..workloads import UniformPoints
+
+            points = UniformPoints(
+                dim=args.dim, seed=args.preload_seed
+            ).generate(args.preload)
         tree, wal, replayed = open_state(
             args.path, create=True, capacity=args.capacity, dim=args.dim,
             page_size=args.page_size, pool_pages=args.pool_pages,
+            points=points,
         )
+        del points  # this frame lives as long as the server
     except (StorageError, WalError, ServiceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if preload:
+        print(f"preloaded {args.path}: {len(tree)} points "
+              f"(seed {args.preload_seed}, bulk)")
     if replayed:
         print(f"recovered {replayed} WAL records into {args.path}")
 

@@ -55,6 +55,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import obs
 from ..geometry import Point
+from ..kernels.queries import PointInput
 from ..storage.paged_tree import PagedPRQuadtree
 from .monitor import DEFAULT_THRESHOLD, DriftMonitor, DriftSample
 from .session import ServiceError, Session
@@ -85,12 +86,16 @@ def open_state(
     page_size: int = 4096,
     pool_pages: int = 256,
     policy: str = "lru",
+    points: Optional[PointInput] = None,
 ) -> Tuple[PagedPRQuadtree, WriteAheadLog, int]:
     """Open (or create) the durable server state at ``path``.
 
-    Returns ``(tree, wal, replayed)`` where ``replayed`` counts WAL
-    records applied on top of the checkpoint.  Recovery resolves every
-    crash window the write path can leave:
+    A new state file is bulk-loaded with ``points`` (none by default)
+    and published, stamped with generation 0, in one checkpoint; an
+    existing file ignores ``points``.  Returns ``(tree, wal,
+    replayed)`` where ``replayed`` counts WAL records applied on top of
+    the checkpoint.  Recovery resolves every crash window the write
+    path can leave:
 
     - *crash before checkpoint rename*: the old image plus a WAL of
       the same generation — replay everything (a torn final record was
@@ -110,13 +115,15 @@ def open_state(
     if not path.exists():
         if not create:
             raise FileNotFoundError(f"no page file at {path}")
-        tree = PagedPRQuadtree.create(
-            path, capacity=capacity, dim=dim, page_size=page_size,
-            pool_pages=pool_pages, policy=policy,
+        # looked up per call, so wrappers on the module attribute apply
+        from ..storage.bulkload import bulk_load_paged
+
+        tree = bulk_load_paged(
+            path, [] if points is None else points, capacity=capacity,
+            dim=dim, page_size=page_size, pool_pages=pool_pages,
+            policy=policy, meta={GENERATION_KEY: 0},
         )
         try:
-            tree.pagefile.update_meta({GENERATION_KEY: 0})
-            tree.checkpoint()
             wal = WriteAheadLog.create(wal_path, 0, tree.dim)
         except BaseException:
             tree.close()

@@ -31,7 +31,7 @@ fast path covers every sane workload.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 
@@ -41,13 +41,7 @@ from ..kernels.census import _CODE_BITS, _as_coord_array, descend_cells
 from ..kernels.queries import PointInput
 from .page import SlottedPage
 from .pagefile import DEFAULT_PAGE_SIZE, PageFile
-from .paged_tree import (
-    _LEAF_META,
-    FORMAT_NAME,
-    FORMAT_VERSION,
-    PagedPRQuadtree,
-    required_page_size,
-)
+from .paged_tree import _LEAF_META, PagedPRQuadtree, _new_tree_meta
 
 
 class _NeedsIncremental(Exception):
@@ -65,6 +59,7 @@ def bulk_load_paged(
     page_size: int = DEFAULT_PAGE_SIZE,
     pool_pages: int = 64,
     policy: str = "lru",
+    meta: Optional[Mapping[str, Any]] = None,
 ) -> PagedPRQuadtree:
     """Create the page file at ``path`` holding ``points`` in one
     sequential pass and open it.
@@ -72,25 +67,14 @@ def bulk_load_paged(
     Parameters mirror :meth:`PagedPRQuadtree.create`; the resulting
     file is indistinguishable from an incremental build of the same
     point set (identical leaf pages, identical censuses).  Duplicate
-    points are dropped, as the tree's insert rejects them.
+    points are dropped, as the tree's insert rejects them.  ``meta``
+    is merged into the header of the one checkpoint that publishes the
+    file.  A load that fails leaves no file behind.
     """
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    if bounds is None:
-        bounds = Rect.unit(dim)
-    elif bounds.dim != dim and dim != 2:
-        raise ValueError(
-            f"bounds dimension {bounds.dim} conflicts with dim={dim}"
-        )
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    bounds, header = _new_tree_meta(
+        capacity, bounds, dim, max_depth, page_size
+    )
     dim = bounds.dim
-    needed = required_page_size(capacity, dim)
-    if page_size < needed:
-        raise ValueError(
-            f"page_size {page_size} cannot hold a capacity-{capacity} "
-            f"bucket in {dim}-d; need at least {needed} bytes"
-        )
     with obs.span("storage.bulk_load"):
         arr = _as_coord_array(points, dim)
         root_lo = np.asarray(bounds.lo.coords, dtype=np.float64)
@@ -124,14 +108,16 @@ def bulk_load_paged(
             )
             try:
                 tree.insert_many(Point(*row) for row in arr)
+                tree.pagefile.update_meta(meta or {})
                 tree.checkpoint()
             except BaseException:
-                tree.close()
+                tree.pagefile.close(checkpoint=False)
+                Path(path).unlink(missing_ok=True)
                 raise
             return tree
+        header.update(meta or {}, points=int(arr.shape[0]))
         _write_leaves(
-            path, arr, starts, stops, depths, paths,
-            capacity, bounds, max_depth, page_size,
+            path, arr, starts, stops, depths, paths, header, page_size
         )
         obs.count("storage.bulk.pages", int(starts.size))
         obs.count("storage.bulk.points", int(arr.shape[0]))
@@ -227,26 +213,14 @@ def _write_leaves(
     stops: np.ndarray,
     depths: np.ndarray,
     paths: np.ndarray,
-    capacity: int,
-    bounds: Rect,
-    max_depth: Optional[int],
+    meta: Mapping[str, Any],
     page_size: int,
 ) -> None:
     """Pack each leaf run into a slotted page and publish the file in
     one atomic checkpoint — no buffer pool, every page written once."""
     import struct
 
-    dim = bounds.dim
-    point_struct = struct.Struct(f"<{dim}d")
-    meta = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "capacity": capacity,
-        "dim": dim,
-        "bounds": {"lo": list(bounds.lo), "hi": list(bounds.hi)},
-        "max_depth": max_depth,
-        "points": int(arr.shape[0]),
-    }
+    point_struct = struct.Struct(f"<{arr.shape[1]}d")
     pagefile = PageFile.create(path, page_size=page_size, meta=meta)
     try:
         payload_size = pagefile.payload_size

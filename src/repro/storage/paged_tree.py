@@ -87,6 +87,43 @@ def required_page_size(capacity: int, dim: int) -> int:
     return payload + PAGE_OVERHEAD
 
 
+def _new_tree_meta(
+    capacity: int,
+    bounds: Optional[Rect],
+    dim: int,
+    max_depth: Optional[int],
+    page_size: int,
+) -> Tuple[Rect, Dict[str, Any]]:
+    """Validate the parameters of a new tree file; return its root
+    block and the header metadata of the empty tree."""
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    if bounds is None:
+        bounds = Rect.unit(dim)
+    elif bounds.dim != dim and dim != 2:
+        raise ValueError(
+            f"bounds dimension {bounds.dim} conflicts with dim={dim}"
+        )
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    needed = required_page_size(capacity, bounds.dim)
+    if page_size < needed:
+        raise ValueError(
+            f"page_size {page_size} cannot hold a capacity-{capacity} "
+            f"bucket in {bounds.dim}-d; need at least {needed} bytes"
+        )
+    meta = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "capacity": capacity,
+        "dim": bounds.dim,
+        "bounds": {"lo": list(bounds.lo), "hi": list(bounds.hi)},
+        "max_depth": max_depth,
+        "points": 0,
+    }
+    return bounds, meta
+
+
 class PagedPRQuadtree:
     """A PR quadtree whose buckets live on disk pages.
 
@@ -136,31 +173,9 @@ class PagedPRQuadtree:
         policy: str = "lru",
     ) -> "PagedPRQuadtree":
         """Create a new page file at ``path`` holding an empty tree."""
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if bounds is None:
-            bounds = Rect.unit(dim)
-        elif bounds.dim != dim and dim != 2:
-            raise ValueError(
-                f"bounds dimension {bounds.dim} conflicts with dim={dim}"
-            )
-        if max_depth is not None and max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-        needed = required_page_size(capacity, bounds.dim)
-        if page_size < needed:
-            raise ValueError(
-                f"page_size {page_size} cannot hold a capacity-{capacity} "
-                f"bucket in {bounds.dim}-d; need at least {needed} bytes"
-            )
-        meta = {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "capacity": capacity,
-            "dim": bounds.dim,
-            "bounds": {"lo": list(bounds.lo), "hi": list(bounds.hi)},
-            "max_depth": max_depth,
-            "points": 0,
-        }
+        bounds, meta = _new_tree_meta(
+            capacity, bounds, dim, max_depth, page_size
+        )
         pagefile = PageFile.create(path, page_size=page_size, meta=meta)
         pool = BufferPool(pagefile, capacity=pool_pages, policy=policy)
         root_pid = pool.allocate()
@@ -181,7 +196,8 @@ class PagedPRQuadtree:
         policy: str = "lru",
     ) -> "PagedPRQuadtree":
         """Open an existing paged tree, rebuilding the directory from
-        the self-describing leaf pages."""
+        the self-describing leaf pages.  Each directory block is derived
+        once, from its parent's, so the rebuild costs O(nodes)."""
         pagefile = PageFile.open(path)
         try:
             meta = pagefile.meta
@@ -230,34 +246,35 @@ class PagedPRQuadtree:
             _, _, pid, _ = entries[0]
             return _PLeaf(bounds, 0, 0, pid), size
         root = _PInternal(bounds, 0, [None] * fanout)  # type: ignore[list-item]
+        mask = fanout - 1
+        # shallower pages first, so a leaf is always placed before any
+        # page it could shadow; each node's rect is derived once, from
+        # its parent's, when the node is created
         for depth, path, pid, _ in sorted(entries):
             if depth == 0:
                 raise StorageError(
                     "depth-0 leaf alongside other leaves: corrupt file"
                 )
             node = root
-            rect = bounds
-            for level in range(depth):
-                idx = (path >> (level * dim)) & (fanout - 1)
-                rect = rect.child(idx)
-                if level == depth - 1:
-                    if node.children[idx] is not None:
-                        raise StorageError(
-                            f"two pages claim the same block at depth {depth}"
-                        )
-                    node.children[idx] = _PLeaf(rect, depth, path, pid)
-                else:
-                    child = node.children[idx]
-                    if child is None:
-                        child = _PInternal(
-                            rect, level + 1, [None] * fanout
-                        )  # type: ignore[list-item]
-                        node.children[idx] = child
-                    elif isinstance(child, _PLeaf):
-                        raise StorageError(
-                            "leaf page shadows a deeper page: corrupt file"
-                        )
-                    node = child
+            for level in range(depth - 1):
+                idx = (path >> (level * dim)) & mask
+                child = node.children[idx]
+                if child is None:
+                    child = _PInternal(
+                        node.rect.child(idx), level + 1, [None] * fanout
+                    )  # type: ignore[list-item]
+                    node.children[idx] = child
+                elif isinstance(child, _PLeaf):
+                    raise StorageError(
+                        "leaf page shadows a deeper page: corrupt file"
+                    )
+                node = child
+            idx = (path >> ((depth - 1) * dim)) & mask
+            if node.children[idx] is not None:
+                raise StorageError(
+                    f"two pages claim the same block at depth {depth}"
+                )
+            node.children[idx] = _PLeaf(node.rect.child(idx), depth, path, pid)
         cls._check_complete(root)
         return root, size
 

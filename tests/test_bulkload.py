@@ -128,6 +128,34 @@ class TestFallback:
             bulk.close()
             incr.close()
 
+    def test_failed_fallback_leaves_no_file(self, tmp_path, monkeypatch):
+        # a disk-full error mid-way through the incremental fallback
+        # must not publish the points inserted so far
+        import errno
+
+        from repro.storage import bulkload
+
+        def no_partition(*args, **kwargs):
+            raise bulkload._NeedsIncremental
+
+        insert = PagedPRQuadtree.insert
+        calls = []
+
+        def failing_insert(self, p):
+            calls.append(p)
+            if len(calls) == 301:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return insert(self, p)
+
+        monkeypatch.setattr(bulkload, "_leaf_runs", no_partition)
+        monkeypatch.setattr(PagedPRQuadtree, "insert", failing_insert)
+        path = tmp_path / "partial.pf"
+        points = UniformPoints(seed=9).generate(1000)
+        with pytest.raises(OSError, match="No space left"):
+            bulk_load_paged(path, points, capacity=4)
+        assert len(calls) == 301
+        assert not path.exists()
+
     def test_validation_errors(self, tmp_path):
         with pytest.raises(ValueError):
             bulk_load_paged(tmp_path / "x.pf", [], capacity=0)
@@ -164,29 +192,51 @@ class TestObservability:
 
 class TestServePreload:
     def test_preload_then_open_state(self, tmp_path):
-        import argparse
-
-        from repro.service.cli import _preload
         from repro.service.server import open_state
 
         path = tmp_path / "state.pf"
-        args = argparse.Namespace(
-            path=str(path), dim=2, preload=500, preload_seed=7,
-            capacity=4, page_size=4096, pool_pages=64,
-        )
-        _preload(args)
-        assert path.exists()
+        points = UniformPoints(seed=7).generate(500)
         tree, wal, replayed = open_state(
             str(path), create=True, capacity=4, dim=2,
-            page_size=4096, pool_pages=64,
+            page_size=4096, pool_pages=64, points=points,
         )
         try:
+            assert path.exists()
             assert len(tree) == 500
             assert replayed == 0
             tree.validate()
         finally:
             tree.close()
             wal.close()
+
+    @pytest.mark.parametrize("n", [0, 700])
+    def test_create_writes_the_same_bytes(self, tmp_path, n):
+        # open_state's one create path publishes exactly the file that
+        # a separate build, generation stamp and checkpoint would
+        from repro.service.server import GENERATION_KEY, open_state
+
+        points = UniformPoints(seed=3).generate(n)
+        ref = tmp_path / "ref.pf"
+        if n:
+            tree = bulk_load_paged(
+                ref, points, capacity=4, page_size=512
+            )
+        else:
+            tree = PagedPRQuadtree.create(ref, capacity=4, page_size=512)
+        tree.pagefile.update_meta({GENERATION_KEY: 0})
+        tree.checkpoint()
+        tree.close()
+
+        path = tmp_path / "state.pf"
+        tree, wal, _ = open_state(
+            path, create=True, capacity=4, page_size=512,
+            points=points if n else None,
+        )
+        tree.close()
+        wal.close()
+        assert path.read_bytes() == ref.read_bytes()
+        assert tree.pagefile.meta[GENERATION_KEY] == 0
+        assert len(tree) == n
 
 
 class TestCli:

@@ -183,6 +183,69 @@ class TestDurability:
             t.validate()
 
 
+def _write_leaf_pages(path, leaves, dim=2):
+    """A page file whose leaf pages claim the given (depth, path)s."""
+    from repro.storage import PageFile, SlottedPage
+    from repro.storage.paged_tree import (
+        _LEAF_META, FORMAT_NAME, FORMAT_VERSION,
+    )
+
+    meta = {
+        "format": FORMAT_NAME, "version": FORMAT_VERSION, "capacity": 4,
+        "dim": dim, "bounds": {"lo": [0.0] * dim, "hi": [1.0] * dim},
+        "max_depth": None, "points": 0,
+    }
+    with PageFile.create(path, meta=meta) as pagefile:
+        for depth, quad_path in leaves:
+            page = SlottedPage.empty(pagefile.payload_size)
+            page.insert(_LEAF_META.pack(depth, quad_path))
+            pagefile.write_page(pagefile.allocate(), page.payload)
+
+
+class TestOpen:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_rect_per_node(self, tmp_path, monkeypatch, dim):
+        from repro.storage import bulk_load_paged
+
+        points = UniformPoints(dim=dim, seed=11).generate(3000)
+        path = tmp_path / "o.pf"
+        with bulk_load_paged(path, points, capacity=4, dim=dim) as tree:
+            census = tree.occupancy_census()
+        calls = []
+        child = Rect.child
+
+        def counted(self, index):
+            calls.append(index)
+            return child(self, index)
+
+        monkeypatch.setattr(Rect, "child", counted)
+        with PagedPRQuadtree.open(path) as reopened:
+            leaves = reopened.leaf_count()
+            internal, rest = divmod(leaves - 1, (1 << dim) - 1)
+            assert rest == 0
+            # one Rect.child per non-root node, none per leaf path step
+            assert len(calls) == leaves + internal - 1
+            assert reopened.node_count() == leaves + internal
+            monkeypatch.undo()
+            reopened.validate()
+            assert reopened.occupancy_census() == census
+
+    @pytest.mark.parametrize(
+        "leaves, message",
+        [
+            ([(0, 0), (1, 0), (1, 1), (1, 2), (1, 3)], "depth-0 leaf"),
+            ([(1, 0), (1, 1), (1, 2), (1, 3), (1, 2)], "same block"),
+            ([(1, 0), (1, 1), (1, 2), (1, 3), (2, 1)], "shadows"),
+            ([(1, 0), (1, 1), (1, 2)], "missing leaf page"),
+        ],
+    )
+    def test_corrupt_directory_refused(self, tmp_path, leaves, message):
+        path = tmp_path / "bad.pf"
+        _write_leaf_pages(path, leaves)
+        with pytest.raises(StorageError, match=message):
+            PagedPRQuadtree.open(path)
+
+
 class TestConfiguration:
     def test_page_size_must_fit_bucket(self, tmp_path):
         with pytest.raises(ValueError):
