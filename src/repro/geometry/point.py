@@ -42,6 +42,14 @@ class Point:
         """Build a point from any iterable of coordinates."""
         return cls(*coords)
 
+    @classmethod
+    def _trusted(cls, coords: Tuple[float, ...]) -> "Point":
+        """A point over ``coords``, a non-empty tuple of non-NaN floats
+        the caller has already checked."""
+        p = object.__new__(cls)
+        p._coords = coords
+        return p
+
     @property
     def coords(self) -> Tuple[float, ...]:
         """The coordinate tuple."""

@@ -147,21 +147,35 @@ class Rect:
         return idx
 
     def child(self, index: int) -> "Rect":
-        """The ``index``-th child of a regular split (bitmask numbering)."""
-        n_children = 1 << self.dim
+        """The ``index``-th child of a regular split (bitmask numbering).
+
+        Each split coordinate is ``(lo + hi) / 2.0``, the expression
+        :attr:`center` evaluates; a child too thin to be a box (the
+        parent is unsplittable on that axis) raises ``ValueError``.
+        """
+        lo = self._lo._coords
+        hi = self._hi._coords
+        n_children = 1 << len(lo)
         if not 0 <= index < n_children:
             raise ValueError(f"child index {index} out of range 0..{n_children - 1}")
-        c = self.center
         los: List[float] = []
         his: List[float] = []
-        for i in range(self.dim):
-            if index & (1 << i):
-                los.append(c[i])
-                his.append(self._hi[i])
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            c = (a + b) / 2.0
+            if index >> i & 1:
+                if not c < b:
+                    raise ValueError(f"degenerate child {index} of {self!r}")
+                los.append(c)
+                his.append(b)
             else:
-                los.append(self._lo[i])
-                his.append(c[i])
-        return Rect(Point(*los), Point(*his))
+                if not a < c:
+                    raise ValueError(f"degenerate child {index} of {self!r}")
+                los.append(a)
+                his.append(c)
+        child = object.__new__(Rect)
+        child._lo = Point._trusted(tuple(los))
+        child._hi = Point._trusted(tuple(his))
+        return child
 
     @property
     def is_splittable(self) -> bool:

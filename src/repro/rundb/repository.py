@@ -61,6 +61,21 @@ def _json(value: Any) -> Optional[str]:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _set_wal_mode(conn: sqlite3.Connection) -> None:
+    """Put the file in WAL mode, retrying with linear backoff: when a
+    second process opens a file the first is still creating, the
+    journal-mode switch can fail with ``database is locked`` at once,
+    without waiting in sqlite's busy handler."""
+    for attempt in range(WRITE_RETRIES):
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or attempt == WRITE_RETRIES - 1:
+                raise
+            time.sleep(0.05 * (attempt + 1))
+
+
 class RunDB:
     """The experiment/run database at ``path`` (created on first open).
 
@@ -93,10 +108,10 @@ class RunDB:
                 isolation_level=None,  # explicit transactions only
             )
             conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA foreign_keys=ON")
             try:
+                _set_wal_mode(conn)
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute("PRAGMA foreign_keys=ON")
                 migrate(conn)
             except BaseException:
                 conn.close()

@@ -19,7 +19,10 @@ nothing a client was told succeeded.
 
 **Fail-stop.**  Any error in a commit — a failed WAL fsync, a tree
 insert or delete that raises, a failed checkpoint or drift sample —
-poisons the writer.  Every unacknowledged mutation, queued or in the
+poisons the writer.  The one exception is an insert into a full leaf
+pinned at the depth limit: the tree refuses it unchanged, so only
+that request fails (see :func:`apply_logged`) and replay refuses it
+again.  Every unacknowledged mutation, queued or in the
 failing batch, fails with a :class:`ServiceError` naming the cause;
 logged mutations that were never applied are truncated from the WAL;
 later mutations are refused with the same error; and the fsync is
@@ -56,6 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from .. import obs
 from ..geometry import Point
 from ..kernels.queries import PointInput
+from ..storage.page import PageFullError
 from ..storage.paged_tree import PagedPRQuadtree
 from .monitor import DEFAULT_THRESHOLD, DriftMonitor, DriftSample
 from .session import ServiceError, Session
@@ -65,6 +69,9 @@ from .wal import OP_DELETE, OP_INSERT, WalError, WriteAheadLog
 #: Page-file metadata key naming the checkpoint generation the image
 #: captures; the WAL header stores the generation it extends.
 GENERATION_KEY = "service_generation"
+
+#: What a client is told when :func:`apply_logged` refuses its insert.
+LEAF_FULL = "leaf at depth limit is full"
 
 #: The WAL lives next to the page file it protects.
 WAL_SUFFIX = ".wal"
@@ -76,6 +83,24 @@ def wal_path_for(path: Union[str, Path]) -> Path:
     """Where the WAL for the page file at ``path`` lives."""
     path = Path(path)
     return path.with_name(path.name + WAL_SUFFIX)
+
+
+def apply_logged(
+    tree: PagedPRQuadtree, op: int, point: Point
+) -> Optional[bool]:
+    """Apply one logged mutation to ``tree``: its result, or ``None``
+    when the tree refuses it — an insert into a leaf pinned at the
+    depth limit whose page is full.  The tree raises that refusal
+    before changing anything, and whether it raises depends only on
+    the tree, so the live writer and WAL replay refuse the same
+    records."""
+    try:
+        if op == OP_INSERT:
+            return tree.insert(point)
+        return tree.delete(point)
+    except PageFullError:
+        obs.count("service.leaf_full")
+        return None
 
 
 def open_state(
@@ -91,7 +116,7 @@ def open_state(
     """Open (or create) the durable server state at ``path``.
 
     A new state file is bulk-loaded with ``points`` (none by default)
-    and published, stamped with generation 0, in one checkpoint; an
+    and published, stamped with generation 0, in one atomic write; an
     existing file ignores ``points``.  Returns ``(tree, wal,
     replayed)`` where ``replayed`` counts WAL records applied on top of
     the checkpoint.  Recovery resolves every crash window the write
@@ -149,10 +174,7 @@ def open_state(
                 replayed = 0
                 with obs.span("service.recovery.replay"):
                     for record in records:
-                        if record.op == OP_INSERT:
-                            tree.insert(record.point)
-                        else:
-                            tree.delete(record.point)
+                        apply_logged(tree, record.op, record.point)
                         replayed += 1
                 obs.count("service.recovery.replayed", replayed)
                 return tree, wal, replayed
@@ -430,10 +452,7 @@ class SpatialIndexServer:
         for op, point, future, phases in batch:
             if phases is not None:
                 apply_began = time.perf_counter()
-            if op == OP_INSERT:
-                result = self._tree.insert(point)
-            else:
-                result = self._tree.delete(point)
+            result = apply_logged(self._tree, op, point)
             self._applied += 1
             if phases is not None:
                 enqueued = phases.pop("_enqueued_at", began)
@@ -443,7 +462,10 @@ class SpatialIndexServer:
                 phases["wal_sync_s"] = sync_s
                 phases["apply_s"] = time.perf_counter() - apply_began
             if not future.cancelled():
-                future.set_result(result)
+                if result is None:
+                    future.set_exception(ServiceError(LEAF_FULL))
+                else:
+                    future.set_result(result)
         obs.record("service.commit_batch", time.perf_counter() - began)
         obs.count("service.commits")
         obs.gauge("service.commit_batch_size", float(len(batch)))

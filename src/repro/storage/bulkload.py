@@ -13,14 +13,17 @@ quantization encodes every point (the census engine's shared
 puts them in z-order, and one level-by-level refinement over the
 sorted code array yields exactly the leaf set the incremental build
 would reach — the PR tree's shape is a function of the point *set*,
-never of insertion order.  Each leaf run is then
-packed straight into a slotted page and staged into the page file
-**once**, in file order, with no buffer pool involved; a final atomic
-checkpoint publishes the image.  The result re-opens through the
-ordinary ``PagedPRQuadtree.open`` (which re-derives the directory from
-the self-describing pages), so bulk-loaded and incrementally-built
-files are interchangeable — ``tests/test_bulkload.py`` pins census,
-query, and ``validate()`` parity.
+never of insertion order.  Every leaf run is then laid out as a
+slotted page in one array pass (:func:`~repro.storage.page.pack_pages`)
+and the pages are published with the header in one atomic
+:meth:`PageFile.create <repro.storage.pagefile.PageFile.create>`, with
+no buffer pool involved.  The leaf runs *are* the directory, so the
+returned tree is assembled from them by the constructor
+``PagedPRQuadtree.open`` uses, and no page is read back.  Bulk-loaded
+and incrementally-built files are interchangeable —
+``tests/test_bulkload.py`` pins census, query, and ``validate()``
+parity, and ``tests/test_bulkload_directory.py`` that the loaded tree
+is the one a reopen builds.
 
 Near-coincident clusters that outrun the 62-bit Morton budget (the
 code cannot discriminate points the tree would still split apart)
@@ -39,9 +42,9 @@ from .. import obs
 from ..geometry import Point, Rect, interleave_many
 from ..kernels.census import _CODE_BITS, _as_coord_array, descend_cells
 from ..kernels.queries import PointInput
-from .page import SlottedPage
-from .pagefile import DEFAULT_PAGE_SIZE, PageFile
-from .paged_tree import _LEAF_META, PagedPRQuadtree, _new_tree_meta
+from .page import pack_pages
+from .pagefile import DEFAULT_PAGE_SIZE, PAGE_OVERHEAD, PageFile
+from .paged_tree import PagedPRQuadtree, _leaf_meta_rows, _new_tree_meta
 
 
 class _NeedsIncremental(Exception):
@@ -68,8 +71,8 @@ def bulk_load_paged(
     file is indistinguishable from an incremental build of the same
     point set (identical leaf pages, identical censuses).  Duplicate
     points are dropped, as the tree's insert rejects them.  ``meta``
-    is merged into the header of the one checkpoint that publishes the
-    file.  A load that fails leaves no file behind.
+    is merged into the header that publishes the file.  A load that
+    fails leaves no file behind.
     """
     bounds, header = _new_tree_meta(
         capacity, bounds, dim, max_depth, page_size
@@ -116,12 +119,32 @@ def bulk_load_paged(
                 raise
             return tree
         header.update(meta or {}, points=int(arr.shape[0]))
-        _write_leaves(
-            path, arr, starts, stops, depths, paths, header, page_size
+        payloads = pack_pages(
+            page_size - PAGE_OVERHEAD,
+            _leaf_meta_rows(depths, paths),
+            arr.astype("<f8").view(np.uint8).reshape(arr.shape[0], 8 * dim),
+            starts, stops,
         )
+        pagefile = PageFile.create(
+            path, page_size=page_size, meta=header, payloads=payloads
+        )
+        del payloads
+        try:
+            tree = PagedPRQuadtree._assemble(
+                pagefile,
+                zip(
+                    depths.tolist(), paths.tolist(), range(starts.size),
+                    (stops - starts).tolist(),
+                ),
+                pool_pages, policy,
+            )
+        except BaseException:
+            pagefile.close(checkpoint=False)
+            Path(path).unlink(missing_ok=True)
+            raise
         obs.count("storage.bulk.pages", int(starts.size))
         obs.count("storage.bulk.points", int(arr.shape[0]))
-    return PagedPRQuadtree.open(path, pool_pages=pool_pages, policy=policy)
+    return tree
 
 
 def _leaf_runs(
@@ -204,36 +227,3 @@ def _leaf_runs(
     paths = np.concatenate(out_paths)
     order = np.lexsort((depths, starts))
     return starts[order], stops[order], depths[order], paths[order]
-
-
-def _write_leaves(
-    path: Union[str, Path],
-    arr: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    depths: np.ndarray,
-    paths: np.ndarray,
-    meta: Mapping[str, Any],
-    page_size: int,
-) -> None:
-    """Pack each leaf run into a slotted page and publish the file in
-    one atomic checkpoint — no buffer pool, every page written once."""
-    import struct
-
-    point_struct = struct.Struct(f"<{arr.shape[1]}d")
-    pagefile = PageFile.create(path, page_size=page_size, meta=meta)
-    try:
-        payload_size = pagefile.payload_size
-        for i in range(int(starts.size)):
-            page = SlottedPage.empty(payload_size)
-            page.insert(_LEAF_META.pack(int(depths[i]), int(paths[i])))
-            for row in arr[starts[i]:stops[i]]:
-                page.insert(point_struct.pack(*row))
-            pid = pagefile.allocate()
-            pagefile.write_page(pid, page.payload)
-        pagefile.checkpoint()
-    except BaseException:
-        pagefile.close(checkpoint=False)
-        Path(path).unlink(missing_ok=True)
-        raise
-    pagefile.close(checkpoint=False)

@@ -17,12 +17,18 @@ fit.
 
 The layer below (:mod:`repro.storage.pagefile`) owns checksums and
 page-type bytes; this class sees only the payload.
+
+:func:`pack_pages` lays out many fresh pages at once — one head
+record and a run of fixed-width records each — byte for byte as
+inserting those records into :meth:`SlottedPage.empty` pages would.
 """
 
 from __future__ import annotations
 
 import struct
 from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 #: Page header: slot_count (u16), heap_start (u16).
 _HEADER = struct.Struct("<HH")
@@ -207,3 +213,55 @@ class SlottedPage:
             self._buf[heap_start:heap_start + len(record)] = record
             self._set_slot(slot_id, heap_start, len(record))
         self._set_header(slots, heap_start)
+
+
+def pack_pages(
+    size: int,
+    heads: np.ndarray,
+    records: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+) -> np.ndarray:
+    """Payloads of fresh pages, one row of ``size`` bytes per page.
+
+    Page ``i`` holds ``heads[i]`` in slot 0, then the rows
+    ``records[starts[i]:stops[i]]`` in slots 1.. in order — the bytes
+    ``SlottedPage.empty(size)`` yields after inserting those records
+    one by one.  ``heads`` is ``(pages, h)`` and ``records`` is
+    ``(n, w)``, both ``uint8``.  Raises :class:`PageFullError`, with
+    ``SlottedPage.insert``'s message, for the first page whose records
+    would not fit.  Pages are laid out in groups of equal occupancy:
+    header and slot directory are the same for every page of a group.
+    """
+    if size > _TOMBSTONE:
+        raise ValueError(f"page payload of {size} bytes exceeds the u16 layout")
+    h = heads.shape[1]
+    w = records.shape[1]
+    counts = stops - starts
+    # the head fits iff fit >= 0; k records then fit iff k <= fit
+    fit = max((size - HEADER_SIZE - SLOT_SIZE - h) // (SLOT_SIZE + w), -1)
+    if (counts > fit).any():
+        if fit < 0:
+            length, free = h, size - HEADER_SIZE
+        else:
+            length = w
+            free = size - HEADER_SIZE - (1 + fit) * SLOT_SIZE - h - fit * w
+        raise PageFullError(
+            f"record of {length} bytes does not fit ({free} free of {size})"
+        )
+    out = np.zeros((counts.size, size), dtype=np.uint8)
+    top = size - h
+    out[:, top:] = heads
+    for k in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == k)
+        heap = top - k * w
+        # header, then slot 0 (the head) and slots 1..k, heap growing down
+        words = [1 + k, heap, top, h]
+        for j in range(1, k + 1):
+            words += [top - j * w, w]
+        directory = np.array(words, dtype="<u2").view(np.uint8)
+        out[group, :directory.size] = directory
+        if k:
+            rows = starts[group][:, None] + np.arange(k - 1, -1, -1)
+            out[group, heap:top] = records[rows].reshape(group.size, k * w)
+    return out

@@ -32,6 +32,8 @@ import struct
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from .. import obs
 from ..geometry import Point, Rect
 from ..quadtree.census import DepthCensus, OccupancyCensus
@@ -41,6 +43,19 @@ from .pool import BufferPool
 
 #: Leaf identity record (slot 0): depth (u16), quadrant path (u64).
 _LEAF_META = struct.Struct("<HQ")
+#: The same record as a packed numpy dtype, for laying out pages in bulk;
+#: the import-time check below keeps the two layouts in step.
+_LEAF_META_DTYPE = np.dtype([("depth", "<u2"), ("path", "<u8")])
+if np.array([(1, 2)], _LEAF_META_DTYPE).tobytes() != _LEAF_META.pack(1, 2):
+    raise ImportError("_LEAF_META_DTYPE does not lay out _LEAF_META")
+
+
+def _leaf_meta_rows(depths: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """The ``_LEAF_META`` records of many leaves, one uint8 row each."""
+    rows = np.empty(len(depths), dtype=_LEAF_META_DTYPE)
+    rows["depth"] = depths
+    rows["path"] = paths
+    return rows.view(np.uint8).reshape(len(depths), _LEAF_META.size)
 
 FORMAT_NAME = "pr-paged-quadtree"
 FORMAT_VERSION = 1
@@ -196,39 +211,20 @@ class PagedPRQuadtree:
         policy: str = "lru",
     ) -> "PagedPRQuadtree":
         """Open an existing paged tree, rebuilding the directory from
-        the self-describing leaf pages.  Each directory block is derived
-        once, from its parent's, so the rebuild costs O(nodes)."""
+        the self-describing leaf pages."""
         pagefile = PageFile.open(path)
         try:
-            meta = pagefile.meta
-            if meta.get("format") != FORMAT_NAME:
-                raise StorageError(
-                    f"{path} is not a {FORMAT_NAME} file "
-                    f"(format {meta.get('format')!r})"
-                )
-            if meta.get("version") != FORMAT_VERSION:
-                raise StorageError(
-                    f"unsupported {FORMAT_NAME} version {meta.get('version')!r}"
-                )
-            capacity = int(meta["capacity"])
-            dim = int(meta["dim"])
-            bounds = Rect(
-                Point(*meta["bounds"]["lo"]), Point(*meta["bounds"]["hi"])
+            return cls._assemble(
+                pagefile, cls._scan(pagefile), pool_pages, policy
             )
-            max_depth = meta.get("max_depth")
-            max_depth = None if max_depth is None else int(max_depth)
-            pool = BufferPool(pagefile, capacity=pool_pages, policy=policy)
-            root, size = cls._rebuild(pagefile, bounds, dim)
         except BaseException:
             pagefile.close(checkpoint=False)
             raise
-        return cls(pagefile, pool, capacity, bounds, max_depth, root, size)
 
-    @classmethod
-    def _rebuild(
-        cls, pagefile: PageFile, bounds: Rect, dim: int
-    ) -> Tuple[_PNode, int]:
-        entries: List[Tuple[int, int, int, int]] = []
+    @staticmethod
+    def _scan(pagefile: PageFile) -> Iterator[Tuple[int, int, int, int]]:
+        """``(depth, path, page_id, count)`` of every leaf page, read
+        from the pages themselves."""
         for pid, payload in pagefile.iter_data_pages():
             page = SlottedPage(bytearray(payload))
             try:
@@ -237,7 +233,51 @@ class PagedPRQuadtree:
                 raise StorageError(
                     f"page {pid} has no leaf identity record"
                 ) from exc
-            entries.append((depth, path, pid, page.record_count - 1))
+            yield depth, path, pid, page.record_count - 1
+
+    @classmethod
+    def _assemble(
+        cls,
+        pagefile: PageFile,
+        entries: Iterable[Tuple[int, int, int, int]],
+        pool_pages: int,
+        policy: str,
+    ) -> "PagedPRQuadtree":
+        """The tree over the published ``pagefile`` whose leaf pages
+        are ``entries`` — ``(depth, path, page_id, count)`` each, from
+        a page scan or from the bulk loader that wrote them.  Checks
+        the header's format, then that the leaves tile the root block:
+        no two on one block, none shadowing a deeper one, none missing.
+        Each directory block is derived once, from its parent's, so
+        this costs O(nodes)."""
+        meta = pagefile.meta
+        if meta.get("format") != FORMAT_NAME:
+            raise StorageError(
+                f"{pagefile.path} is not a {FORMAT_NAME} file "
+                f"(format {meta.get('format')!r})"
+            )
+        if meta.get("version") != FORMAT_VERSION:
+            raise StorageError(
+                f"unsupported {FORMAT_NAME} version {meta.get('version')!r}"
+            )
+        capacity = int(meta["capacity"])
+        dim = int(meta["dim"])
+        bounds = Rect(
+            Point(*meta["bounds"]["lo"]), Point(*meta["bounds"]["hi"])
+        )
+        max_depth = meta.get("max_depth")
+        max_depth = None if max_depth is None else int(max_depth)
+        pool = BufferPool(pagefile, capacity=pool_pages, policy=policy)
+        root, size = cls._directory(list(entries), bounds, dim)
+        return cls(pagefile, pool, capacity, bounds, max_depth, root, size)
+
+    @classmethod
+    def _directory(
+        cls,
+        entries: List[Tuple[int, int, int, int]],
+        bounds: Rect,
+        dim: int,
+    ) -> Tuple[_PNode, int]:
         if not entries:
             raise StorageError("page file holds no leaf pages")
         fanout = 1 << dim

@@ -30,7 +30,9 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from .. import obs
 
@@ -41,6 +43,8 @@ _HEADER = struct.Struct("<8sIIIII")
 _CRC = struct.Struct("<I")
 #: Per-page prefix: crc32 of (type, reserved, payload), type, reserved.
 _PAGE_HEADER = struct.Struct("<IHH")
+#: The checksummed part of that prefix: type, reserved.
+_PAGE_TYPE = struct.Struct("<HH")
 PAGE_OVERHEAD = _PAGE_HEADER.size
 
 PAGE_FREE = 0
@@ -115,9 +119,16 @@ class PageFile:
         path: Union[str, Path],
         page_size: int = DEFAULT_PAGE_SIZE,
         meta: Optional[Mapping[str, Any]] = None,
+        payloads: Sequence[Any] = (),
     ) -> "PageFile":
-        """Create a new empty page file at ``path`` (atomically) and
-        open it.  Fails if ``path`` already exists."""
+        """Create a new page file at ``path`` (atomically) and open it.
+        Fails if ``path`` already exists.
+
+        ``payloads`` become data pages ``0..len(payloads)-1`` (each a
+        bytes-like object no longer than :attr:`payload_size`), written
+        and published with the header in one :func:`durable_replace`:
+        the file is never seen without them.
+        """
         path = Path(path)
         if path.exists():
             raise FileExistsError(f"page file already exists: {path}")
@@ -126,13 +137,21 @@ class PageFile:
                 f"page_size must be >= {MIN_PAGE_SIZE}, got {page_size}"
             )
         meta_dict = dict(meta or {})
-        header = cls._encode_header(page_size, 0, NIL, 0, meta_dict)
+        header = cls._encode_header(
+            page_size, len(payloads), NIL, 0, meta_dict
+        )
         if len(header) > page_size:
             raise ValueError(
                 f"metadata ({len(header)} bytes with header) does not fit "
                 f"in one {page_size}-byte page"
             )
-        durable_replace(path, header.ljust(page_size, b"\0"))
+        payload_size = page_size - PAGE_OVERHEAD
+        chunks = [header.ljust(page_size, b"\0")]
+        for payload in payloads:
+            chunks.append(
+                _encode_page(PAGE_DATA, _padded(payload, payload_size))
+            )
+        durable_replace(path, b"".join(chunks))
         return cls.open(path)
 
     @classmethod
@@ -277,14 +296,10 @@ class PageFile:
         """Stage ``payload`` as the new content of data page ``pid``
         (durable at the next checkpoint)."""
         self._check_pid(pid)
-        if len(payload) > self.payload_size:
-            raise ValueError(
-                f"payload of {len(payload)} bytes exceeds page payload "
-                f"size {self.payload_size}"
-            )
         with obs.span("storage.page_write"):
-            padded = bytes(payload).ljust(self.payload_size, b"\0")
-            self._pending[pid] = (PAGE_DATA, padded)
+            self._pending[pid] = (
+                PAGE_DATA, _padded(payload, self.payload_size)
+            )
         obs.count("storage.page_writes")
 
     def allocate(self) -> int:
@@ -356,13 +371,7 @@ class PageFile:
             for pid in range(self._page_count):
                 pending = self._pending.get(pid)
                 if pending is not None:
-                    page_type, payload = pending
-                    prefix = _PAGE_HEADER.pack(0, page_type, 0)
-                    crc = zlib.crc32(prefix[_CRC.size:])
-                    crc = zlib.crc32(payload, crc)
-                    chunks.append(
-                        _PAGE_HEADER.pack(crc, page_type, 0) + payload
-                    )
+                    chunks.append(_encode_page(*pending))
                 else:
                     self._file.seek(self._page_size * (1 + pid))
                     chunks.append(self._file.read(self._page_size))
@@ -404,6 +413,24 @@ class PageFile:
             file_bytes=self._page_size * (1 + self._page_count),
             meta=self.meta,
         )
+
+
+def _padded(payload: Any, payload_size: int) -> bytes:
+    """``payload`` as bytes, zero-filled to ``payload_size``."""
+    payload = bytes(payload)
+    if len(payload) > payload_size:
+        raise ValueError(
+            f"payload of {len(payload)} bytes exceeds page payload "
+            f"size {payload_size}"
+        )
+    return payload.ljust(payload_size, b"\0")
+
+
+def _encode_page(page_type: int, payload: bytes) -> bytes:
+    """One on-disk page slot: the checksummed prefix, then ``payload``
+    (already padded to the payload size)."""
+    crc = zlib.crc32(payload, zlib.crc32(_PAGE_TYPE.pack(page_type, 0)))
+    return _PAGE_HEADER.pack(crc, page_type, 0) + payload
 
 
 def durable_replace(path: Union[str, Path], data: bytes) -> None:

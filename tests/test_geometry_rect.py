@@ -192,3 +192,69 @@ class TestProperties:
             both = a.intersection(b)
             assert a.contains_rect(both)
             assert b.contains_rect(both)
+
+
+def _center_child(r, index):
+    """A child built from ``r.center``, the way ``child`` once was."""
+    c = r.center
+    los, his = [], []
+    for i in range(r.dim):
+        if index & (1 << i):
+            los.append(c[i])
+            his.append(r.hi[i])
+        else:
+            los.append(r.lo[i])
+            his.append(c[i])
+    return Rect(Point(*los), Point(*his))
+
+
+def _bits(r):
+    import struct
+
+    coords = r.lo.coords + r.hi.coords
+    return struct.pack(f"<{len(coords)}d", *coords)
+
+
+class TestChild:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_bit_identical_to_center_construction(self, dim):
+        import numpy as np
+
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            lo = rng.uniform(-50.0, 50.0, dim)
+            hi = lo + np.exp(rng.uniform(-30.0, 4.0, dim))
+            r = Rect(Point(*lo), Point(*hi))
+            # descend a few levels: rounding compounds down a path,
+            # and the thinnest boxes run out of halvings on the way
+            for _ in range(6):
+                for index in range(1 << dim):
+                    try:
+                        expected = _center_child(r, index)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            r.child(index)
+                        continue
+                    got = r.child(index)
+                    assert _bits(got) == _bits(expected)
+                    assert type(got.lo) is Point and got.dim == dim
+                if not r.is_splittable:
+                    break
+                r = r.child(int(rng.integers(1 << dim)))
+
+    def test_unsplittable_box_raises_where_center_construction_did(self):
+        import math
+
+        one_ulp = Rect(Point(1.0, 0.0), Point(math.nextafter(1.0, 2.0), 1.0))
+        assert not one_ulp.is_splittable
+        raised = 0
+        for index in range(4):
+            try:
+                expected = _center_child(one_ulp, index)
+            except ValueError:
+                raised += 1
+                with pytest.raises(ValueError):
+                    one_ulp.child(index)
+            else:
+                assert _bits(one_ulp.child(index)) == _bits(expected)
+        assert raised == 2  # the two children thin on axis 0

@@ -406,6 +406,74 @@ class TestFailStop:
             in poisoned
 
 
+class TestLeafFull:
+    """A full leaf pinned at the depth limit refuses the insert that
+    does not fit; the writer stays up for every other client."""
+
+    def test_refused_insert_does_not_poison_the_writer(self, tmp_path):
+        import math
+        import shutil
+
+        # 30 distinct points inside one depth-32 block: the 2-d path
+        # limit pins that leaf, and a 512-byte page holds 24 points
+        base = math.floor(0.3 * 2 ** 32) / 2 ** 32 + 1e-11
+        crowd = [[base + i * 1e-13, base + i * 1e-13] for i in range(30)]
+        crash = tmp_path / "crash"
+        crash.mkdir()
+        tracer = Tracer()
+
+        async def go():
+            tree, wal, _ = open_state(
+                tmp_path / "state.pf", create=True, capacity=4,
+                page_size=512,
+            )
+            server = SpatialIndexServer(tree, wal, port=0)
+            await server.start()
+            crowding = await ServiceClient.connect(*server.address)
+            other = await ServiceClient.connect(*server.address)
+            try:
+                responses = [
+                    await crowding.call("insert", point=p) for p in crowd
+                ]
+                later = await other.call("insert", point=[0.7, 0.2])
+                stat = await other.call("stat")
+                # the log is fsynced through `later`: copying it now is
+                # the state a crash at this instant leaves
+                for name in ("state.pf", "state.pf.wal"):
+                    shutil.copy(tmp_path / name, crash / name)
+            finally:
+                await crowding.close()
+                await other.close()
+                await server.stop()
+            return responses, later, stat
+
+        with tracing(tracer):
+            responses, later, stat = asyncio.run(go())
+        assert [r["ok"] for r in responses] == [True] * 24 + [False] * 6
+        assert all(r["result"] is True for r in responses[:24])
+        assert all(
+            r["error"] == "leaf at depth limit is full"
+            for r in responses[24:]
+        )
+        assert tracer.counters["service.leaf_full"] == 6
+        assert later["ok"] is True and later["result"] is True
+        assert stat["result"]["writer_state"] == "ok"
+
+        expected = {tuple(p) for p in crowd[:24]} | {(0.7, 0.2)}
+        for state in (tmp_path / "state.pf", crash / "state.pf"):
+            tree, wal, replayed = open_state(state)
+            try:
+                # the clean stop checkpointed; the crash copy replays
+                # all 31 logged inserts and refuses the same 6 again
+                assert replayed == (31 if state.parent == crash else 0)
+                assert {p.coords for p in tree.range_search(tree.bounds)} \
+                    == expected
+                tree.validate()
+            finally:
+                wal.close()
+                tree.close()
+
+
 class TestLifecycle:
     def test_shutdown_op_stops_serve_forever(self, tmp_path):
         async def go():
