@@ -20,106 +20,88 @@ Quickstart::
     print(tree.occupancy_census().proportions())  # the experiment
 """
 
-from .core import (
-    AreaWeightedModel,
-    ModelComparison,
-    OscillationFit,
-    PMRPopulationModel,
-    PopulationModel,
-    SteadyState,
-    post_split_average_occupancy,
-    solve_analytic,
-    solve_eigen,
-    solve_fixed_point_iteration,
-    solve_newton,
-    transform_matrix,
-)
-from .excell import Excell
-from .experiments import (
-    run_figure2,
-    run_figure3,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-)
-from .geometry import Point, Rect, Segment
-from .gridfile import GridFile
-from .hashing import ExtendibleHashing
-from .quadtree import (
-    CensusAccumulator,
-    DepthCensus,
-    OccupancyCensus,
-    PMRQuadtree,
-    PointQuadtree,
-    PRBintree,
-    PRQuadtree,
-)
-from .runtime import (
-    ExperimentSpec,
-    ResultCache,
-    RunReport,
-    RuntimeConfig,
-    runtime_session,
-)
-from .storage import BufferPool, PagedPRQuadtree, PageFile
-from .workloads import (
-    ClusteredPoints,
-    DiagonalPoints,
-    GaussianPoints,
-    RandomSegments,
-    UniformPoints,
-    logarithmic_sample_sizes,
-)
+from importlib import import_module
+from typing import Any, Dict, List, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AreaWeightedModel",
-    "CensusAccumulator",
-    "BufferPool",
-    "ClusteredPoints",
-    "DepthCensus",
-    "DiagonalPoints",
-    "Excell",
-    "ExperimentSpec",
-    "ExtendibleHashing",
-    "GaussianPoints",
-    "GridFile",
-    "ModelComparison",
-    "OccupancyCensus",
-    "OscillationFit",
-    "PMRPopulationModel",
-    "PMRQuadtree",
-    "PageFile",
-    "PagedPRQuadtree",
-    "Point",
-    "PointQuadtree",
-    "PopulationModel",
-    "PRBintree",
-    "PRQuadtree",
-    "RandomSegments",
-    "Rect",
-    "ResultCache",
-    "RunReport",
-    "RuntimeConfig",
-    "Segment",
-    "SteadyState",
-    "UniformPoints",
-    "logarithmic_sample_sizes",
-    "post_split_average_occupancy",
-    "run_figure2",
-    "run_figure3",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-    "runtime_session",
-    "solve_analytic",
-    "solve_eigen",
-    "solve_fixed_point_iteration",
-    "solve_newton",
-    "transform_matrix",
-]
+#: Every public name, by the submodule that defines it.  Nothing is
+#: imported until a name is first read (PEP 562), so ``repro serve``
+#: loads the serving path without the paper toolkit.
+_SUBMODULE_NAMES: Dict[str, Tuple[str, ...]] = {
+    "core": (
+        "AreaWeightedModel",
+        "ModelComparison",
+        "OscillationFit",
+        "PMRPopulationModel",
+        "PopulationModel",
+        "SteadyState",
+        "post_split_average_occupancy",
+        "solve_analytic",
+        "solve_eigen",
+        "solve_fixed_point_iteration",
+        "solve_newton",
+        "transform_matrix",
+    ),
+    "excell": ("Excell",),
+    "experiments": (
+        "run_figure2",
+        "run_figure3",
+        "run_table1",
+        "run_table2",
+        "run_table3",
+        "run_table4",
+        "run_table5",
+    ),
+    "geometry": ("Point", "Rect", "Segment"),
+    "gridfile": ("GridFile",),
+    "hashing": ("ExtendibleHashing",),
+    "quadtree": (
+        "CensusAccumulator",
+        "DepthCensus",
+        "OccupancyCensus",
+        "PMRQuadtree",
+        "PointQuadtree",
+        "PRBintree",
+        "PRQuadtree",
+    ),
+    "runtime": (
+        "ExperimentSpec",
+        "ResultCache",
+        "RunReport",
+        "RuntimeConfig",
+        "runtime_session",
+    ),
+    "storage": ("BufferPool", "PagedPRQuadtree", "PageFile"),
+    "workloads": (
+        "ClusteredPoints",
+        "DiagonalPoints",
+        "GaussianPoints",
+        "RandomSegments",
+        "UniformPoints",
+        "logarithmic_sample_sizes",
+    ),
+}
+
+_HOME: Dict[str, str] = {
+    name: module
+    for module, names in _SUBMODULE_NAMES.items()
+    for name in names
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's submodule on first access, then cache the
+    name here so later reads are plain attribute lookups."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -76,41 +76,37 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .core import PopulationModel
-from .experiments import (
-    build_figure1_tree,
-    generate_report,
-    format_phasing_table,
-    format_table1,
-    format_table2,
-    format_table3,
-    render_quadtree_ascii,
-    render_semilog_ascii,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-)
-from .obs import Tracer
-from .runtime import ENGINES, RuntimeConfig, runtime_session
+if TYPE_CHECKING:
+    from .runtime import RuntimeConfig
+
+# The paper toolkit is imported inside the functions that use it: the
+# subcommands :func:`main` hands off import only their own CLI, so
+# ``repro serve`` starts without ``experiments``, ``runtime`` or scipy.
 
 
 def _print_table1(trials: int, seed: int) -> None:
+    from .experiments import format_table1, run_table1
+
     print(format_table1(run_table1(trials=trials, seed=seed)))
 
 
 def _print_table2(trials: int, seed: int) -> None:
+    from .experiments import format_table2, run_table2
+
     print(format_table2(run_table2(trials=trials, seed=seed)))
 
 
 def _print_table3(trials: int, seed: int) -> None:
+    from .experiments import format_table3, run_table3
+
     print(format_table3(run_table3(trials=trials, seed=seed)))
 
 
 def _print_table4(trials: int, seed: int) -> None:
+    from .experiments import format_phasing_table, run_table4
+
     print(
         format_phasing_table(
             run_table4(trials=trials, seed=seed),
@@ -120,6 +116,8 @@ def _print_table4(trials: int, seed: int) -> None:
 
 
 def _print_table5(trials: int, seed: int) -> None:
+    from .experiments import format_phasing_table, run_table5
+
     print(
         format_phasing_table(
             run_table5(trials=trials, seed=seed),
@@ -129,11 +127,15 @@ def _print_table5(trials: int, seed: int) -> None:
 
 
 def _print_figure1(trials: int, seed: int) -> None:
+    from .experiments import build_figure1_tree, render_quadtree_ascii
+
     print("Figure 1 -- PR quadtree for four points:")
     print(render_quadtree_ascii(build_figure1_tree(), resolution=32))
 
 
 def _print_figure2(trials: int, seed: int) -> None:
+    from .experiments import render_semilog_ascii, run_table4
+
     rows = run_table4(trials=trials, seed=seed)
     print("Figure 2 -- average occupancy vs n, uniform, m=8 (semi-log):")
     print(
@@ -144,6 +146,8 @@ def _print_figure2(trials: int, seed: int) -> None:
 
 
 def _print_figure3(trials: int, seed: int) -> None:
+    from .experiments import render_semilog_ascii, run_table5
+
     rows = run_table5(trials=trials, seed=seed)
     print("Figure 3 -- average occupancy vs n, Gaussian, m=8 (semi-log):")
     print(
@@ -154,6 +158,8 @@ def _print_figure3(trials: int, seed: int) -> None:
 
 
 def _print_report(trials: int, seed: int) -> None:
+    from .experiments import generate_report
+
     print(generate_report(trials=trials, seed=seed))
 
 
@@ -171,6 +177,8 @@ _COMMANDS = {
 
 
 def _print_model(capacity: int, dim: int) -> None:
+    from .core import PopulationModel
+
     model = PopulationModel(capacity=capacity, dim=dim)
     e = model.expected_distribution()
     print(f"population model: capacity m={capacity}, {1 << dim}-way splits")
@@ -184,6 +192,8 @@ def _print_model(capacity: int, dim: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .runtime import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate Nelson & Samet (SIGMOD 1987) tables/figures.",
@@ -271,7 +281,9 @@ def runtime_config_from_args(args: argparse.Namespace) -> RuntimeConfig:
     """Lower parsed CLI flags to the engine's RuntimeConfig."""
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+    from .obs import Tracer
     from .rundb import resolve_db_path
+    from .runtime import RuntimeConfig
 
     return RuntimeConfig(
         workers=args.workers,
@@ -313,6 +325,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "model":
         _print_model(args.capacity, args.dim)
         return 0
+    from .runtime import runtime_session
+
     config = runtime_config_from_args(args)
     with runtime_session(config):
         if args.command == "all":

@@ -25,9 +25,9 @@ import math
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..geometry import Rect
+from .fagin import _binom_pmf, _log_trinomial
 
 
 class Density:
@@ -100,37 +100,6 @@ class TruncatedGaussianDensity(Density):
             z_lo = (rect.lo[i] - self._center[i]) / self._sigma[i]
             mass *= (norm.cdf(z_hi) - norm.cdf(z_lo)) / self._axis_mass[i]
         return float(mass)
-
-
-def _log_trinomial(n: int, j: int, s: int, pj: float, ps: float) -> float:
-    rest = n - j - s
-    p_rest = max(1.0 - pj - ps, 0.0)
-    if rest < 0:
-        return -math.inf
-    total = gammaln(n + 1) - gammaln(j + 1) - gammaln(s + 1) - gammaln(rest + 1)
-    for count, prob in ((j, pj), (s, ps), (rest, p_rest)):
-        if count > 0:
-            if prob <= 0.0:
-                return -math.inf
-            total += count * math.log(prob)
-    return float(total)
-
-
-def _binom_pmf(count: int, trials: int, p: float) -> float:
-    if count < 0 or count > trials:
-        return 0.0
-    if p <= 0.0:
-        return 1.0 if count == 0 else 0.0
-    if p >= 1.0:
-        return 1.0 if count == trials else 0.0
-    lp = (
-        gammaln(trials + 1)
-        - gammaln(count + 1)
-        - gammaln(trials - count + 1)
-        + count * math.log(p)
-        + (trials - count) * math.log1p(-p)
-    )
-    return math.exp(lp) if lp > -700 else 0.0
 
 
 def _overflow_probability(n: int, capacity: int, mass: float) -> float:

@@ -32,7 +32,22 @@ import math
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+
+
+def gammaln(x):
+    """``scipy.special.gammaln``, imported on the first call.
+
+    ``scipy.special`` takes 0.3–0.4 s to load (2-vCPU host) and only
+    the model functions need it, so a server that never takes a drift
+    sample never pays for it.  The import rebinds this module's ``gammaln`` to
+    the ufunc itself: later calls from the helpers below (and from
+    :mod:`repro.core.density_model`, which shares them) go straight to
+    it.
+    """
+    global gammaln
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 def _check(n: int, capacity: int, buckets: int) -> None:

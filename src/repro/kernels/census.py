@@ -151,7 +151,7 @@ def _as_coord_array(points: PointInput, dim: int) -> np.ndarray:
         seq = list(points)
         if not seq:
             return np.empty((0, dim), dtype=np.float64)
-        arr = np.array([tuple(p) for p in seq], dtype=np.float64)
+        arr = np.array([p.coords for p in seq], dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(
             f"points have dimension {arr.shape[1:] or '?'}, expected {dim}"

@@ -43,9 +43,21 @@ class PointGenerator:
         raise NotImplementedError
 
     def generate(self, n: int) -> List[Point]:
-        """``n`` distinct points from the distribution."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        """``n`` distinct points from the distribution.
+
+        Classes with a vectorized :meth:`_draw_rows` take one array
+        draw and wrap its rows; the rest run the scalar :meth:`_raw`
+        loop.  Either way the points, their order and the RNG state
+        left behind are those of ``n`` scalar draws.
+        """
+        rows = self._distinct_rows(n)
+        if rows is None:
+            return self._scalar_points(n)
+        # Point() would only repeat _distinct_rows' NaN check
+        return [Point._trusted(tuple(row)) for row in rows.tolist()]
+
+    def _scalar_points(self, n: int) -> List[Point]:
+        """The reference loop: :meth:`_raw` until ``n`` distinct points."""
         out: List[Point] = []
         seen = set()
         while len(out) < n:
@@ -62,18 +74,13 @@ class PointGenerator:
         (the default) means the class has no vectorized draw."""
         return None
 
-    def generate_array(self, n: int) -> np.ndarray:
-        """``n`` distinct points as an ``(n, dim)`` float64 array —
-        row ``i`` is exactly ``generate(n)[i]``'s coordinates, and the
-        RNG ends in the state ``generate(n)`` leaves it in.
+    def _distinct_rows(self, n: int) -> Optional[np.ndarray]:
+        """:meth:`_draw_rows` when its rows are valid distinct points,
+        else ``None`` with the RNG rewound for the scalar loop.
 
-        Classes with a vectorized :meth:`_draw_rows` take one array
-        draw.  Without one, or when the drawn rows hold a duplicate
-        (probability ~0 with float64 draws), the RNG is rewound and
-        the scalar :meth:`generate` loop runs instead, so callers (the
-        runtime's trial loops and shared-memory pool path) may rely on
-        ``generate_array`` being bit-identical to ``generate`` for
-        every generator.
+        A duplicate row has probability ~0 with float64 draws, and a
+        NaN row would make the scalar loop raise; either way the
+        scalar loop decides.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
@@ -81,10 +88,27 @@ class PointGenerator:
             return np.empty((0, self._bounds.dim), dtype=np.float64)
         state = self._rng.bit_generator.state
         arr = self._draw_rows(n)
-        if arr is not None and rows_distinct(arr):
+        if arr is not None and not np.isnan(arr).any() and rows_distinct(arr):
             return arr
         self._rng.bit_generator.state = state
-        return np.array([p.coords for p in self.generate(n)], dtype=np.float64)
+        return None
+
+    def generate_array(self, n: int) -> np.ndarray:
+        """``n`` distinct points as an ``(n, dim)`` float64 array —
+        row ``i`` is exactly ``generate(n)[i]``'s coordinates, and the
+        RNG ends in the state ``generate(n)`` leaves it in.
+
+        Both methods take the same draw-or-fallback step, so callers
+        (the runtime's trial loops and shared-memory pool path) may
+        rely on ``generate_array`` being bit-identical to ``generate``
+        for every generator.
+        """
+        rows = self._distinct_rows(n)
+        if rows is None:
+            rows = np.array(
+                [p.coords for p in self._scalar_points(n)], dtype=np.float64
+            )
+        return rows
 
     def _box(self) -> Tuple[np.ndarray, np.ndarray]:
         """The bounds' corners as float64 arrays."""

@@ -113,3 +113,38 @@ class TestGaussianModel:
             - density_average_occupancy(512, 8, u, eps=1e-7)
         )
         assert swing_g < swing_u
+
+
+class TestSharedLogPmfHelpers:
+    """The density model computes its binomial and trinomial terms with
+    :mod:`repro.core.fagin`'s helpers.  These values were recorded with
+    the model's own former copies of those helpers; they must not move
+    by a single bit."""
+
+    PINNED = {
+        "uniform": [
+            "0x1.031e0f40f30c1p+3", "0x1.0ebf3854daf9ep+4",
+            "0x1.0124ec5c027b2p+4", "0x1.3bf0e77e56ebfp+3",
+            "0x1.550c465ca0d08p+2",
+        ],
+        "gaussian": [
+            "0x1.023dee9698b02p+3", "0x1.ef7fae3591de5p+3",
+            "0x1.dc76b494c70d4p+3", "0x1.450e73d390848p+3",
+            "0x1.843130a50ae16p+2",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", ["uniform", "gaussian"])
+    def test_census_bit_identical_to_recorded(self, name):
+        density = (
+            UniformDensity() if name == "uniform"
+            else TruncatedGaussianDensity(sigma_fraction=0.3)
+        )
+        census = density_expected_leaf_census(100, 4, density, eps=1e-6)
+        assert [float(v).hex() for v in census] == self.PINNED[name]
+
+    def test_helpers_are_fagins(self):
+        from repro.core import density_model
+
+        assert density_model._binom_pmf is fagin._binom_pmf
+        assert density_model._log_trinomial is fagin._log_trinomial

@@ -1,10 +1,15 @@
 """Importing the package and the server CLI must not load the scipy
-modules that only the model solvers and fit statistics use."""
+modules that only the model solvers and fit statistics use, nor the
+paper toolkit; the lazy ``repro`` namespace still serves every public
+name."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -24,3 +29,110 @@ def test_server_import_leaves_heavy_scipy_unloaded():
         text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+HEAVY = ("scipy", "repro.experiments", "repro.runtime", "repro.bench")
+
+
+def _fresh(code):
+    """Run ``code`` in a new interpreter over this source tree; its
+    stdout, stripped."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_NO_DB"] = "1"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    return result.stdout.strip()
+
+
+_LOADED = (
+    "print(sorted(m for m in sys.modules "
+    f"if m.split('.')[0] == 'scipy' or m.startswith({HEAVY!r})))\n"
+)
+
+
+def test_server_import_loads_no_paper_toolkit():
+    assert _fresh("import sys, repro, repro.service.cli\n" + _LOADED) == "[]"
+
+
+def test_serve_help_loads_no_paper_toolkit():
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'serve', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, None), exc.code\n"
+        "print('---')\n" + _LOADED
+    )
+    usage, loaded = _fresh(code).rsplit("---", 1)
+    assert "start" in usage
+    assert loaded.strip() == "[]"
+
+
+def test_model_functions_import_gammaln_on_first_use():
+    # the exact model in a process that never loaded scipy.special
+    # gives the same bits as in this one, where it may be loaded
+    from repro.core.fagin import expected_total_leaves
+
+    code = (
+        "import sys\n"
+        "from repro.core.fagin import expected_total_leaves\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "v = expected_total_leaves(50000, 4, buckets=4, model='exact')\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "print(v.hex())\n"
+    )
+    eager = expected_total_leaves(50000, 4, buckets=4, model="exact")
+    assert _fresh(code) == eager.hex() == "0x1.96e53e3a113d8p+14"
+
+
+def test_gammaln_is_bound_to_the_ufunc_after_first_call():
+    from scipy.special import gammaln as ufunc
+
+    from repro.core import fagin
+
+    fagin.expected_total_leaves(100, 4)
+    assert fagin.gammaln is ufunc
+
+
+class TestPublicNamespace:
+    def test_every_name_resolves_to_its_home_module(self):
+        for name in repro.__all__:
+            home = importlib.import_module(f"repro.{repro._HOME[name]}")
+            assert getattr(repro, name) is getattr(home, name), name
+
+    def test_dir_lists_every_name(self):
+        listed = dir(repro)
+        assert set(repro.__all__) <= set(listed)
+        assert "__version__" in listed
+
+    def test_no_name_is_listed_under_two_submodules(self):
+        listed = sum(len(v) for v in repro._SUBMODULE_NAMES.values())
+        assert listed == len(repro.__all__)
+
+    def test_first_read_caches_the_name(self):
+        value = repro.UniformPoints
+        assert vars(repro)["UniformPoints"] is value
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+        assert not hasattr(repro, "no_such_name")
+
+    def test_star_import_binds_every_name(self):
+        # in a fresh process, so every name goes through __getattr__
+        code = (
+            "import importlib, repro\n"
+            "ns = {}\n"
+            "exec('from repro import *', ns)\n"
+            "print(sorted(\n"
+            "    n for n in repro.__all__\n"
+            "    if ns.get(n) is not getattr(\n"
+            "        importlib.import_module('repro.' + repro._HOME[n]), n)\n"
+            "))\n"
+        )
+        assert _fresh(code) == "[]"

@@ -345,3 +345,110 @@ class TestGenerateArray:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             UniformPoints(seed=1).generate_array(-1)
+
+
+class TestGenerateThroughArrayDraw:
+    """``generate`` wraps the vectorized draw where a class has one; the
+    scalar ``_raw`` loop stays the reference it must equal bit for bit,
+    leaving the RNG in the same state."""
+
+    FACTORIES = {
+        "uniform": UniformPoints,
+        "gaussian": GaussianPoints,
+        "clustered": ClusteredPoints,
+        "diagonal": DiagonalPoints,
+    }
+
+    @staticmethod
+    def _boxes(dim):
+        return [
+            Rect.unit(dim),
+            Rect(Point(*[-2.5] * dim), Point(*[0.75 + i for i in range(dim)])),
+        ]
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_scalar_loop(self, name, dim):
+        cls = self.FACTORIES[name]
+        for bounds in self._boxes(dim):
+            for seed in (0, 11):
+                fast = cls(bounds=bounds, dim=dim, seed=seed)
+                slow = cls(bounds=bounds, dim=dim, seed=seed)
+                got = fast.generate(257)
+                want = slow._scalar_points(257)
+                assert [p.coords for p in got] == [p.coords for p in want]
+                assert got == want
+                assert all(type(c) is float for p in got for c in p.coords)
+                assert (
+                    fast._rng.bit_generator.state
+                    == slow._rng.bit_generator.state
+                )
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_consecutive_calls_continue_the_stream(self, name):
+        cls = self.FACTORIES[name]
+        split = cls(seed=3)
+        whole = cls(seed=3)
+        first = split.generate(40)
+        second = split.generate(25)
+        assert first + second == whole._scalar_points(65)
+        assert split._rng.random() == whole._rng.random()
+
+    @pytest.mark.parametrize("cls", [UniformPoints, GaussianPoints])
+    def test_duplicate_draw_falls_back_to_scalar_loop(self, cls, monkeypatch):
+        gen = cls(seed=5)
+        ref = cls(seed=5)
+        real = cls._draw_rows
+
+        def with_duplicate(self, n):
+            rows = real(self, n)
+            rows[-1] = rows[0]
+            return rows
+
+        monkeypatch.setattr(cls, "_draw_rows", with_duplicate)
+        got = gen.generate(50)
+        assert got == ref._scalar_points(50)
+        assert len(set(got)) == 50
+        assert gen._rng.bit_generator.state == ref._rng.bit_generator.state
+
+    def test_nan_draw_falls_back_and_raises_like_point(self, monkeypatch):
+        def with_nan(self, n):
+            return np.full((n, self.bounds.dim), np.nan)
+
+        monkeypatch.setattr(UniformPoints, "_draw_rows", with_nan)
+        monkeypatch.setattr(
+            UniformPoints, "_raw", lambda self: Point(float("nan"), 0.0)
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            UniformPoints(seed=1).generate(3)
+
+    def test_zero_and_negative(self):
+        gen = UniformPoints(seed=2)
+        state = gen._rng.bit_generator.state
+        assert gen.generate(0) == []
+        assert gen._rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            gen.generate(-1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            gen.generate_array(-1)
+
+    def test_generate_and_generate_array_do_not_call_each_other(
+        self, monkeypatch
+    ):
+        # a wrapper on either method (as a tracing benchmark installs)
+        # must see exactly one call per public call
+        from repro.workloads.generators import PointGenerator
+
+        calls = []
+        for attr in ("generate", "generate_array"):
+            original = getattr(PointGenerator, attr)
+
+            def counted(self, n, _original=original, _attr=attr):
+                calls.append(_attr)
+                return _original(self, n)
+
+            monkeypatch.setattr(PointGenerator, attr, counted)
+        ClusteredPoints(seed=1).generate(10)
+        DiagonalPoints(seed=1).generate_array(10)
+        GaussianPoints(seed=1).generate(10)
+        assert calls == ["generate", "generate_array", "generate"]
