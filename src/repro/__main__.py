@@ -24,13 +24,13 @@ Execution flags (every table/figure command):
     Build trial trees across N worker processes (default 1 = serial).
     Results are bit-identical to serial runs.
 ``--engine {object,vector}``
-    Census engine for trial building.  ``object`` (default) builds
-    real PR quadtrees; ``vector`` computes each trial's census with
-    the Morton-code kernel (:mod:`repro.kernels`) — bit-identical
-    numbers, much faster at large n.  Specs that collect leaf areas
-    fall back to the object engine (the kernel has no blocks to
-    measure); the run counts ``runtime.engine_fallback`` and
-    ``--verbose`` notes it.
+    Census engine for trial building.  ``vector`` (default) computes
+    each trial's census with the Morton-code kernel
+    (:mod:`repro.kernels`); ``object`` builds real PR quadtrees, the
+    parity oracle — bit-identical numbers, much slower at large n.
+    Specs that collect leaf areas fall back to the object engine (the
+    kernel has no blocks to measure); the run counts
+    ``runtime.engine_fallback`` and ``--verbose`` notes it.
 ``--cache-dir DIR`` / ``--no-cache``
     Results are cached on disk (default ``$REPRO_CACHE_DIR`` or
     ``~/.cache/repro``) keyed by the full experiment spec, so a rerun
@@ -211,11 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for trial building (1 = serial)",
         )
         cmd.add_argument(
-            "--engine", choices=ENGINES, default="object",
-            help="census engine: object trees (parity oracle) or the "
-                 "vectorized Morton-code kernel (bit-identical, faster; "
-                 "area-collecting specs fall back to object trees — "
-                 "--verbose notes when that happens)",
+            "--engine", choices=ENGINES, default="vector",
+            help="census engine: the vectorized Morton-code kernel "
+                 "(default) or object trees (the parity oracle; "
+                 "bit-identical, slower).  Area-collecting specs fall "
+                 "back to object trees — --verbose notes when that "
+                 "happens",
         )
         cmd.add_argument(
             "--cache-dir", default=None, metavar="DIR",
@@ -290,7 +291,7 @@ def runtime_config_from_args(args: argparse.Namespace) -> RuntimeConfig:
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         verbose=args.verbose,
-        engine=getattr(args, "engine", "object"),
+        engine=getattr(args, "engine", "vector"),
         tracer=Tracer() if args.verbose else None,
         db_path=resolve_db_path(
             getattr(args, "db", None), no_db=getattr(args, "no_db", False)

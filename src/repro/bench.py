@@ -6,8 +6,8 @@ time went, not just how much there was:
 
 - **build** — cold serial tree construction (the harness's inner loop);
 - **census** — occupancy + per-depth censuses over a prebuilt tree;
-- **parallel** — the same workload serial vs. the persistent
-  shared-memory process pool on the pinned engine (vector, where the
+- **parallel** — the same workload serial vs. the session's
+  persistent process pool on the pinned engine (vector, where the
   pool's batched kernel path applies), reporting the headline speedup
   plus an object-engine cross-check; the pool is warmed untimed first
   so the number measures the steady state a sweep actually sees;
@@ -174,10 +174,12 @@ def _stage_build(params: Dict[str, Any]) -> Dict[str, Any]:
     # count exactly the timed trials)
     execute(
         _spec(params).with_trials(1),
-        RuntimeConfig(workers=1, use_cache=False, tracer=Tracer()),
+        RuntimeConfig(workers=1, use_cache=False, engine="object",
+                      tracer=Tracer()),
     )
     tracer = Tracer()
-    config = RuntimeConfig(workers=1, use_cache=False, tracer=tracer)
+    config = RuntimeConfig(workers=1, use_cache=False, engine="object",
+                           tracer=tracer)
     began = time.perf_counter()
     execute(_spec(params), config)
     elapsed = time.perf_counter() - began
@@ -223,7 +225,7 @@ def _stage_census(params: Dict[str, Any]) -> Dict[str, Any]:
 def _stage_parallel(
     params: Dict[str, Any], workers: int
 ) -> Dict[str, Any]:
-    """Identical workload serial vs. the persistent shared-memory pool;
+    """Identical workload serial vs. the persistent process pool;
     results are bit-identical by the runtime's seed contract, so only
     the clock differs.
 
@@ -300,13 +302,15 @@ def _stage_warm_cache(params: Dict[str, Any]) -> Dict[str, Any]:
     # store stays genuinely cold while the code paths are warm
     execute(
         _spec(params).with_trials(1),
-        RuntimeConfig(workers=1, use_cache=False, tracer=Tracer()),
+        RuntimeConfig(workers=1, use_cache=False, engine="object",
+                      tracer=Tracer()),
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         tracer = Tracer()
         spec = _spec(params)
         config = RuntimeConfig(
-            workers=1, use_cache=True, cache_dir=tmp, tracer=tracer
+            workers=1, use_cache=True, cache_dir=tmp, engine="object",
+            tracer=tracer,
         )
         began = time.perf_counter()
         execute(spec, config)

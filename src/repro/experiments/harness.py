@@ -17,7 +17,8 @@ thin compatibility wrapper that lowers its arguments to an
 process pool, and run metrics.  Parallel and cached runs are
 bit-identical to the historical serial loop.  Custom generator
 factories that the spec layer cannot name (arbitrary callables) still
-work: they take a legacy in-process path, just without caching or
+work: they run in-process through the executor's own trial loop
+(:func:`repro.runtime.build_trials`), just without caching or
 parallelism.
 """
 
@@ -26,15 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .. import obs
 from ..geometry import Rect
 from ..quadtree import CensusAccumulator, DepthCensus, PRQuadtree
 from ..runtime import (
-    ENGINES,
     ExperimentSpec,
     RuntimeConfig,
     TrialResult,
     active_config,
+    build_trials,
     execute,
     rect_to_tuple,
 )
@@ -196,12 +196,13 @@ def run_trials(
     Execution routes through :mod:`repro.runtime`: ``runtime`` pins an
     explicit :class:`RuntimeConfig` (otherwise the ambient
     ``runtime_session`` config, if any, applies); ``workers`` and
-    ``engine`` override just that setting.  ``engine="vector"`` runs
-    trials through the Morton-code census kernel instead of building
-    object trees — bit-identical statistics, much faster at large n
-    (``collect_area`` runs always use the object engine, which alone
-    has leaf rectangles to measure).  Results are bit-identical across
-    serial, parallel, cached, and vector execution.
+    ``engine`` override just that setting.  The default ``"vector"``
+    engine runs trials through the Morton-code census kernel;
+    ``engine="object"`` builds real trees — bit-identical statistics,
+    much slower at large n (``collect_area`` runs always use the
+    object engine, which alone has leaf rectangles to measure).
+    Results are bit-identical across serial, parallel, cached, object
+    and vector execution.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -217,14 +218,21 @@ def run_trials(
         collect_area=collect_area,
     )
     if spec is None:
-        base = runtime if runtime is not None else active_config()
-        legacy_engine = engine if engine is not None else (
-            base.engine if base is not None else "object"
+        # an untagged factory: in-process and uncached, through the
+        # executor's trial loop with the factory's own generators
+        if engine is None:
+            base = runtime if runtime is not None else active_config()
+            engine = (base or RuntimeConfig()).engine
+        tree_spec = spec_for(
+            capacity, n_points=n_points, trials=trials, seed=seed,
+            max_depth=max_depth, bounds=bounds,
+            collect_depth=collect_depth, collect_area=collect_area,
         )
-        return _run_trials_legacy(
-            capacity, n_points, trials, seed, generator_factory,
-            max_depth, bounds, collect_depth, collect_area, legacy_engine,
+        result = build_trials(
+            tree_spec, 0, trials, engine,
+            make_generator=lambda trial: generator_factory(seed + trial),
         )
+        return _trial_set_from_result(result, n_points)
     overrides = {}
     if workers is not None:
         overrides["workers"] = workers
@@ -238,71 +246,6 @@ def run_trials(
             else RuntimeConfig(**overrides)
         )
     return _trial_set_from_result(execute(spec, runtime), n_points)
-
-
-def _run_trials_legacy(
-    capacity: int,
-    n_points: int,
-    trials: int,
-    seed: int,
-    generator_factory: GeneratorFactory,
-    max_depth: Optional[int],
-    bounds: Optional[Rect],
-    collect_depth: bool,
-    collect_area: bool,
-    engine: str = "object",
-) -> TrialSet:
-    """In-process loop for unnameable generator factories (no caching,
-    no pool) — behaviorally identical to the pre-runtime harness.
-    Honors the engine selector: vector trials call the census kernel
-    (unless leaf areas are collected, which needs real blocks)."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    use_vector = engine == "vector" and not collect_area
-    result = TrialSet(
-        capacity=capacity,
-        n_points=n_points,
-        accumulator=CensusAccumulator(capacity),
-    )
-    for trial in range(trials):
-        generator = generator_factory(seed + trial)
-        if use_vector:
-            from ..kernels import vector_census
-
-            tree_bounds = bounds if bounds is not None else Rect.unit(2)
-            with obs.span("trial.build"):
-                partition = vector_census(
-                    generator.generate_array(n_points),
-                    capacity,
-                    bounds=tree_bounds,
-                    dim=tree_bounds.dim,
-                    max_depth=max_depth,
-                )
-            with obs.span("trial.census"):
-                result.accumulator.add(partition.occupancy_census())
-                if collect_depth:
-                    result.depth_censuses.append(partition.depth_census())
-            continue
-        with obs.span("trial.build"):
-            tree = build_tree(
-                generator.generate(n_points), capacity, bounds, max_depth
-            )
-        with obs.span("trial.census"):
-            result.accumulator.add(tree.occupancy_census())
-            if collect_depth:
-                result.depth_censuses.append(tree.depth_census())
-            if collect_area:
-                result.area_occupancy.extend(
-                    (rect.volume, min(occ, capacity))
-                    for rect, _, occ in tree.leaves()
-                )
-        if obs.enabled():
-            obs.count("tree.built")
-            obs.count("tree.splits", tree.split_count)
-            obs.gauge("tree.max_depth", tree.max_depth_reached)
-    return result
 
 
 @dataclass(frozen=True)

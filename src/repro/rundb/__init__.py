@@ -17,8 +17,8 @@ Layout
 ``repository.py``
     :class:`RunDB` — all reads/writes, concurrent-writer safe.
 ``recorder.py``
-    Hooks the live system records through (sessions, bench, serve,
-    autotune persistence) plus ``ingest_file`` backfill.
+    Hooks the live system records through (sessions, bench, serve)
+    plus ``ingest_file`` backfill.
 ``analyzer.py``
     Cross-run analytics: trends (optionally grouped by commit),
     occupancy-vs-n, run diffing.
@@ -38,7 +38,6 @@ from .analyzer import (
     stage_trend,
 )
 from .recorder import (
-    AutotuneStore,
     ServeRecorder,
     ServeTelemetryRecorder,
     SessionRecorder,
@@ -59,7 +58,6 @@ __all__ = [
     "SchemaError",
     "Trend",
     "TrendPoint",
-    "AutotuneStore",
     "ServeRecorder",
     "ServeTelemetryRecorder",
     "SessionRecorder",

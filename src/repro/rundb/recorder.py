@@ -31,11 +31,6 @@ Three recorders cover the three run shapes:
 Recording is deliberately non-fatal everywhere: a corrupt or locked
 database prints one warning and the run continues — the record is an
 observer, never a dependency.
-
-:class:`AutotuneStore` is the persistence backend
-:class:`~repro.runtime.autotune.ChunkAutotuner` plugs into so a
-locked-in chunk size keyed by (engine, n, workers) survives to the
-next session instead of being relearned.
 """
 
 from __future__ import annotations
@@ -184,7 +179,6 @@ class SessionRecorder:
                 "trees_built": report.trees_built,
                 "cache_hits": report.cache_hits,
                 "cache_misses": report.cache_misses,
-                "retries": report.retries,
             }
             tracer = config.tracer
         sha = current_git_sha()
@@ -207,41 +201,6 @@ class SessionRecorder:
         except Exception as exc:  # recording must never break the run
             _warn("session flush", exc)
             return None
-
-
-# ----------------------------------------------------------------------
-# autotune persistence
-# ----------------------------------------------------------------------
-
-
-class AutotuneStore:
-    """Load/save backend for the chunk autotuner's locked-in sizes.
-
-    Opens the database per call (lock-ins are rare) and swallows every
-    storage error — a broken DB degrades to relearning, never to a
-    failed run.
-    """
-
-    def __init__(self, db_path: PathLike):
-        self._db_path = db_path
-
-    def load(
-        self, engine: str, n_points: int, workers: int
-    ) -> Optional[int]:
-        try:
-            with RunDB(self._db_path) as db:
-                return db.get_chunk_size(engine, n_points, workers)
-        except Exception:
-            return None
-
-    def save(
-        self, engine: str, n_points: int, workers: int, chunk_size: int
-    ) -> None:
-        try:
-            with RunDB(self._db_path) as db:
-                db.set_chunk_size(engine, n_points, workers, chunk_size)
-        except Exception:
-            pass
 
 
 # ----------------------------------------------------------------------

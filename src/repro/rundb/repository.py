@@ -12,11 +12,6 @@ escapes the busy handler (stress-tested by
 Writes are small, explicit transactions — a whole session flush is one
 transaction, a drift sample another — so a crashed recorder never
 leaves a half-run behind (its ``status`` simply stays ``open``).
-
-The companion :class:`AutotuneStore` is the tiny persistence backend
-the chunk autotuner plugs into: load/save of one locked-in chunk size
-keyed by ``(engine, n_points, workers)``, silent on storage errors so
-tuning can never break a run.
 """
 
 from __future__ import annotations
@@ -394,50 +389,6 @@ class RunDB:
                 )
 
     # ------------------------------------------------------------------
-    # writing: autotune
-    # ------------------------------------------------------------------
-
-    def set_chunk_size(
-        self,
-        engine: str,
-        n_points: int,
-        workers: int,
-        chunk_size: int,
-        run_id: Optional[int] = None,
-    ) -> None:
-        """Upsert the locked-in chunk size for one pool configuration."""
-        with self._write() as conn:
-            conn.execute(
-                "INSERT INTO autotune (engine, n_points, workers, "
-                "chunk_size, updated_unix, run_id) "
-                "VALUES (?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT (engine, n_points, workers) DO UPDATE SET "
-                "chunk_size = excluded.chunk_size, "
-                "updated_unix = excluded.updated_unix, "
-                "run_id = excluded.run_id",
-                (engine, n_points, workers, chunk_size, time.time(),
-                 run_id),
-            )
-
-    def get_chunk_size(
-        self, engine: str, n_points: int, workers: int
-    ) -> Optional[int]:
-        """The stored chunk size for one pool configuration, if any."""
-        row = self.connect().execute(
-            "SELECT chunk_size FROM autotune "
-            "WHERE engine = ? AND n_points = ? AND workers = ?",
-            (engine, n_points, workers),
-        ).fetchone()
-        return int(row["chunk_size"]) if row is not None else None
-
-    def autotune_entries(self) -> List[Dict[str, Any]]:
-        """Every stored autotune row (for ``db show`` / tests)."""
-        rows = self.connect().execute(
-            "SELECT * FROM autotune ORDER BY engine, n_points, workers"
-        ).fetchall()
-        return [dict(row) for row in rows]
-
-    # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
 
@@ -515,7 +466,6 @@ class RunDB:
         for table in (
             "runs", "specs", "trial_results", "bench_stages", "spans",
             "gauges", "counters", "drift_samples", "telemetry_samples",
-            "autotune",
         ):
             out[table] = int(
                 conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
@@ -765,7 +715,7 @@ class RunDB:
         self, keep: int = DEFAULT_KEEP, vacuum: bool = True
     ) -> Dict[str, int]:
         """Delete all but the newest ``keep`` runs *per kind* (children
-        cascade; autotune rows survive with ``run_id`` nulled), then
+        cascade), then
         optionally ``VACUUM``.  Returns deletion counts."""
         if keep < 0:
             raise ValueError(f"keep must be >= 0, got {keep}")

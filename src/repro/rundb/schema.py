@@ -4,8 +4,7 @@ One SQLite file holds the longitudinal record the result cache cannot
 express: every run (a CLI table sweep, a ``repro bench`` suite, a
 ``repro serve`` session, or an ingested historical snapshot) with its
 frozen experiment specs, per-spec census summaries, bench stages,
-flattened span/gauge/counter telemetry, drift samples, and the chunk
-autotuner's locked-in sizes.
+flattened span/gauge/counter telemetry, and drift samples.
 
 The schema is versioned through ``PRAGMA user_version``:
 :data:`MIGRATIONS` maps each version to the DDL that *introduces* it,
@@ -40,7 +39,7 @@ Added in v2
 -----------
 ``autotune``
     The chunk autotuner's locked-in chunk size keyed by
-    ``(engine, n_points, workers)`` — what seeds the next session.
+    ``(engine, n_points, workers)``.  Dropped in v4.
 ``drift_samples``
     :class:`~repro.service.monitor.DriftSample` rows per serve run,
     the alarms-over-time record behind ``repro db trend --gauge
@@ -57,6 +56,12 @@ Added in v3
     gauge and counter rows carry the interval's last/accumulated
     values.  The record behind ``repro db report``'s
     latency-percentile chart.
+
+Changed in v4
+-------------
+``autotune``
+    Dropped with the chunk autotuner: the pool plans chunks from the
+    run's shape alone, so no stored size is read any more.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ import sqlite3
 from typing import Dict
 
 #: Current schema version (``PRAGMA user_version`` of a fresh DB).
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class SchemaError(RuntimeError):
@@ -215,11 +220,16 @@ CREATE INDEX idx_telemetry_run ON telemetry_samples (run_id, seq);
 CREATE INDEX idx_telemetry_name ON telemetry_samples (name, run_id)
 """
 
+_MIGRATION_4 = """
+DROP TABLE autotune
+"""
+
 #: version -> DDL script introducing it; applied in ascending order.
 MIGRATIONS: Dict[int, str] = {
     1: _MIGRATION_1,
     2: _MIGRATION_2,
     3: _MIGRATION_3,
+    4: _MIGRATION_4,
 }
 
 

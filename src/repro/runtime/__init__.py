@@ -1,16 +1,17 @@
-"""Parallel trial-execution engine with deterministic seeding, result
-caching, and run metrics.
+"""Trial execution with deterministic seeding, result caching, and run
+metrics.
 
-The runtime owns experiment execution end to end: the harness and every
-table/figure/benchmark route their trial loops through
-:func:`execute`, which consults the on-disk :class:`ResultCache`,
-schedules work across a process pool (or serially), and records a
-:class:`RunReport`'s worth of metrics.  ``runtime_session`` scopes a
-:class:`RuntimeConfig` over a whole command so ``--workers`` and cache
-flags need no per-function plumbing.
+The harness and every table/figure/benchmark route their trial loops
+through :func:`execute`, which consults the on-disk
+:class:`ResultCache`, runs the trials serially or in chunks on a plain
+process pool, and records a :class:`RunReport`'s worth of metrics.
+Trials run on the vectorized census kernel by default
+(``engine="vector"``); the object-tree engine is the parity oracle.
+``runtime_session`` scopes a :class:`RuntimeConfig` over a whole
+command so ``--workers`` and cache flags need no per-function
+plumbing.
 """
 
-from .autotune import ChunkAutotuner, PoolRunStats
 from .cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from .executor import (
     ENGINES,
@@ -26,12 +27,6 @@ from .executor import (
     runtime_session,
 )
 from .metrics import ChunkMetric, MetricsCollector, RunReport
-from .sharedmem import (
-    SharedBlockRef,
-    SharedPointBlock,
-    live_block_count,
-    live_block_names,
-)
 from .spec import (
     SCHEMA_VERSION,
     ExperimentSpec,
@@ -43,20 +38,16 @@ from .spec import (
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "ChunkAutotuner",
     "ChunkMetric",
     "ENGINES",
     "ChunkOutcome",
     "ExperimentSpec",
     "MetricsCollector",
     "PersistentPool",
-    "PoolRunStats",
     "ResultCache",
     "RunReport",
     "RuntimeConfig",
     "SCHEMA_VERSION",
-    "SharedBlockRef",
-    "SharedPointBlock",
     "TrialResult",
     "active_config",
     "build_trials",
@@ -64,8 +55,6 @@ __all__ = [
     "default_cache_dir",
     "execute",
     "known_generators",
-    "live_block_count",
-    "live_block_names",
     "plan_chunks",
     "rect_to_tuple",
     "register_generator",

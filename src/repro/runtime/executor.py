@@ -1,37 +1,30 @@
 """The trial-execution engine: chunked, parallel, cached, measured.
 
 ``execute(spec)`` is the one entry point.  It answers an
-:class:`~repro.runtime.spec.ExperimentSpec` with a :class:`TrialResult`,
-taking the fastest correct path available:
+:class:`~repro.runtime.spec.ExperimentSpec` with a :class:`TrialResult`:
 
 1. **cache** — if the active config enables caching and a valid entry
-   exists, no tree is built at all;
-2. **process pool** — with ``workers > 1`` the trial range is split
-   into chunks and fanned out over a pool of **persistent workers**
-   (one ``ProcessPoolExecutor`` per :func:`runtime_session`, not one
-   per call).  The coordinator generates every trial's points once —
-   vectorized, via ``PointGenerator.generate_array`` — into a
-   ``multiprocessing.shared_memory`` block; workers attach numpy views
-   by name, so no point coordinate ever pickles.  Vector-engine
-   workers run whole chunks through one batched kernel call
-   (:func:`repro.kernels.vector_census_batch`).  A failed chunk is
-   retried once in the pool; a **broken** pool (worker crash) sends
-   the failed chunk and every surviving future straight to in-process
-   rescue — no futile resubmissions.  If the pool cannot be created at
-   all (sandboxed platform without ``fork``/semaphores) the whole run
-   degrades to in-process execution rather than failing.  Traced runs
+   exists, no trial runs at all;
+2. **serial** — ``workers <= 1`` runs in-process through
+   :func:`build_trials`, one trial at a time.  The default ``vector``
+   engine draws each trial's points with ``generate_array`` and hands
+   them to one :func:`repro.kernels.vector_census` call; the ``object``
+   engine builds a real :class:`PRQuadtree`, the parity oracle;
+3. **process pool** — with ``workers > 1`` the trial range is split
+   into chunks (:func:`plan_chunks`) and each chunk goes to a worker of
+   one ``ProcessPoolExecutor`` (one per :func:`runtime_session`, kept
+   warm across calls; an ad-hoc config gets one per call).  A worker
+   draws its chunk's points itself and runs them through
+   :func:`build_trials_from_arrays`, so a vector chunk is one batched
+   :func:`repro.kernels.vector_census_batch` call.  One failure rule:
+   a chunk left without an outcome — the pool could not be created, a
+   worker died, or the chunk raised in its worker — runs in-process
+   through :func:`build_trials` in mode ``degraded``.  Trials are
+   deterministic, so the rescue gives the pool's result.  Traced runs
    give every worker its own :class:`~repro.obs.Tracer`; the snapshots
-   ride home with each chunk and merge into the coordinator's report
-   as ``worker.N`` subtrees plus utilization gauges (busy fraction per
-   worker, straggler ratio, rescue fraction).  Those same utilization
-   numbers feed a :class:`~repro.runtime.autotune.ChunkAutotuner` that
-   adapts the default chunk size run over run;
-3. **serial** — ``workers <= 1`` runs in-process with zero pool
-   overhead, one trial at a time.  Vector-engine trials draw their
-   points with the same vectorized ``generate_array`` the pool
-   coordinator uses and hand the array straight to one
-   :func:`repro.kernels.vector_census` call, so serial and pooled runs
-   differ only in batching and parallelism, not in how points are made.
+   ride home with each chunk and graft onto the coordinator's trace as
+   ``worker.N`` subtrees, next to utilization gauges (busy fraction
+   per worker, straggler ratio, rescue fraction).
 
 Every path preserves the harness's seed-stream contract: trial ``t``
 uses generator seed ``spec.seed + t``, and partial results merge in
@@ -48,12 +41,12 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,11 +54,9 @@ from .. import obs
 from ..geometry import Point, Rect
 from ..obs import Tracer
 from ..quadtree import CensusAccumulator, DepthCensus, PRQuadtree
-from . import sharedmem
-from .autotune import ChunkAutotuner, PoolRunStats
+from ..workloads import PointGenerator
 from .cache import ResultCache
 from .metrics import MetricsCollector
-from .sharedmem import SharedBlockRef, SharedPointBlock
 from .spec import ExperimentSpec
 
 
@@ -186,16 +177,23 @@ ENGINES = ("object", "vector")
 
 
 def build_trials(
-    spec: ExperimentSpec, start: int, count: int, engine: str = "object"
+    spec: ExperimentSpec,
+    start: int,
+    count: int,
+    engine: str = "object",
+    make_generator: Optional[Callable[[int], PointGenerator]] = None,
 ) -> TrialResult:
     """Run trials ``start .. start+count-1`` of ``spec`` in-process.
 
-    This is *the* trial loop — serial execution, pool workers, and
-    degraded fallbacks all funnel through it, so the seed contract
-    lives in exactly one place.  ``engine`` picks how each trial's
-    census is computed: ``"object"`` builds a real :class:`PRQuadtree`
-    (the parity oracle, and the only engine that can enumerate leaf
-    rectangles), ``"vector"`` runs the Morton-code kernel
+    This is *the* trial loop — serial execution, the in-process rescue
+    of pool chunks, and the harness's untagged generator factories all
+    funnel through it.  Trial ``t`` draws from ``make_generator(t)``,
+    by default ``spec.make_generator`` (seed ``spec.seed + t``); a
+    caller that passes its own takes only the tree parameters from
+    ``spec``.  ``engine`` picks how each trial's census is computed:
+    ``"object"`` builds a real :class:`PRQuadtree` (the parity oracle,
+    and the only engine that can enumerate leaf rectangles),
+    ``"vector"`` runs the Morton-code kernel
     (:func:`repro.kernels.vector_census`) on each trial's
     ``generate_array`` rows — bit-identical censuses, no tree and no
     :class:`Point` objects.  Specs that collect leaf areas silently
@@ -206,12 +204,14 @@ def build_trials(
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
+    if make_generator is None:
+        make_generator = spec.make_generator
     if engine == "vector" and not spec.collect_area:
-        return _build_trials_vector(spec, start, count)
+        return _build_trials_vector(spec, start, count, make_generator)
     result = TrialResult.empty(spec.capacity)
     bounds = spec.bounds_rect()
     for trial in range(start, start + count):
-        generator = spec.make_generator(trial)
+        generator = make_generator(trial)
         _object_trial(spec, bounds, generator.generate(spec.n_points), result)
     return result
 
@@ -227,9 +227,8 @@ def build_trials_from_arrays(
 
     ``arrays`` is a ``(count, n_points, dim)`` float64 tensor whose row
     ``i`` holds exactly what ``spec.make_generator(start + i)
-    .generate(spec.n_points)`` would produce — the coordinator wrote it
-    into shared memory once, so workers (and the crash-rescue path)
-    skip generation entirely.  Results are bit-identical to
+    .generate(spec.n_points)`` would produce (pool workers draw it with
+    :func:`_chunk_arrays`).  Results are bit-identical to
     :func:`build_trials` for the same range: the object engine rebuilds
     :class:`Point` objects from the rows (float64 round-trips exactly),
     and the vector engine feeds the whole chunk to one batched kernel
@@ -287,7 +286,10 @@ def _object_trial(
 
 
 def _build_trials_vector(
-    spec: ExperimentSpec, start: int, count: int
+    spec: ExperimentSpec,
+    start: int,
+    count: int,
+    make_generator: Callable[[int], PointGenerator],
 ) -> TrialResult:
     """The vector-engine trial loop: same seed contract, same spans,
     censuses bit-identical to the object loop's — but each trial is one
@@ -299,7 +301,7 @@ def _build_trials_vector(
     # the object tree defaults omitted bounds to the unit square
     bounds = spec.bounds_rect() or Rect.unit(2)
     for trial in range(start, start + count):
-        generator = spec.make_generator(trial)
+        generator = make_generator(trial)
         with obs.span("trial.build"):
             partition = vector_census(
                 generator.generate_array(spec.n_points),
@@ -344,21 +346,28 @@ def _batch_trials_vector(
     return result
 
 
+def _chunk_arrays(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
+    """The ``(count, n_points, dim)`` rows of trials ``start ..
+    start+count-1``, each drawn with its own seed (``spec.seed + t``)."""
+    dim = (spec.bounds_rect() or Rect.unit(2)).dim
+    arrays = np.empty((count, spec.n_points, dim), dtype=np.float64)
+    for i in range(count):
+        arrays[i] = spec.make_generator(start + i).generate_array(
+            spec.n_points
+        )
+    return arrays
+
+
 def _run_chunk(
     spec: ExperimentSpec,
     start: int,
     count: int,
     engine: str = "object",
     traced: bool = False,
-    shm: Optional[SharedBlockRef] = None,
 ) -> ChunkOutcome:
-    """Worker entry point: run one chunk, return a picklable outcome.
-
-    With ``shm`` set, the chunk's points are read from the
-    coordinator's shared block (rows ``start .. start+count-1``)
-    instead of being regenerated from the seed stream; if attaching
-    fails (block already gone, exotic platform) the worker falls back
-    to regenerating — same results either way.
+    """Worker entry point: draw the chunk's points, run its trials
+    through :func:`build_trials_from_arrays`, and return a picklable
+    outcome.
 
     With ``traced=True`` (the coordinator's run was traced) the chunk
     runs under its own worker-local :class:`Tracer` and ships the
@@ -366,17 +375,11 @@ def _run_chunk(
     snapshots into ``worker.N`` subtrees (see ``_merge_worker_traces``).
     """
     began = time.perf_counter()
-    arrays: Optional[np.ndarray] = None
-    if shm is not None:
-        try:
-            arrays = sharedmem.attach_view(shm)[start:start + count]
-        except (OSError, ValueError):
-            arrays = None
 
     def _work() -> TrialResult:
-        if arrays is not None:
-            return build_trials_from_arrays(spec, start, count, engine, arrays)
-        return build_trials(spec, start, count, engine)
+        return build_trials_from_arrays(
+            spec, start, count, engine, _chunk_arrays(spec, start, count)
+        )
 
     trace: Optional[Dict[str, Any]] = None
     if traced:
@@ -438,13 +441,12 @@ def plan_chunks(
 class PersistentPool:
     """One ``ProcessPoolExecutor`` kept warm across ``execute`` calls.
 
-    The old pool path paid worker spawn + interpreter import on every
-    ``_execute_fresh`` — often more than the trials themselves.  A
-    session now owns one of these: :meth:`acquire` returns the live
-    pool, recreating it only when the requested width changes or a
-    worker crash marked it broken.  ``runtime_session`` tears it down
-    on exit; ad-hoc configs (an ``execute`` call outside any session)
-    still get a per-call pool, so nothing leaks.
+    Worker spawn and interpreter import can cost more than a sweep
+    row's trials, so a session owns one of these: :meth:`acquire`
+    returns the live pool, recreating it only when the requested width
+    changes or a worker crash marked it broken.  ``runtime_session``
+    tears it down on exit; ad-hoc configs (an ``execute`` call outside
+    any session) get a per-call pool, so nothing leaks.
     """
 
     def __init__(self) -> None:
@@ -455,7 +457,7 @@ class PersistentPool:
     def acquire(self, workers: int) -> ProcessPoolExecutor:
         """The live pool at ``workers`` width (created or recreated as
         needed; raises ``OSError`` where pool creation is impossible,
-        which ``_execute_fresh`` turns into a degraded serial run)."""
+        which ``_run_pool`` turns into in-process rescue)."""
         if self._pool is not None and (
             self._broken or self._workers != workers
         ):
@@ -493,15 +495,13 @@ class RuntimeConfig:
     cache_dir: Union[str, None] = None
     chunk_size: Optional[int] = None
     verbose: bool = False
-    #: Let pool-utilization telemetry adapt the default chunk size
-    #: between runs (explicit ``chunk_size`` always wins).
-    autotune: bool = True
-    #: Census engine: ``"object"`` builds real trees, ``"vector"`` runs
-    #: the Morton-code kernel.  Deliberately part of the runtime config,
-    #: not the :class:`ExperimentSpec` — engines are bit-identical, so
-    #: the choice is about *how* to execute, not *what* experiment it
-    #: is, and cached results stay shared between engines.
-    engine: str = "object"
+    #: Census engine: ``"vector"`` runs the Morton-code kernel,
+    #: ``"object"`` builds real trees (the parity oracle).  Deliberately
+    #: part of the runtime config, not the :class:`ExperimentSpec` —
+    #: engines are bit-identical, so the choice is about *how* to
+    #: execute, not *what* experiment it is, and cached results stay
+    #: shared between engines.
+    engine: str = "vector"
     collector: MetricsCollector = field(default_factory=MetricsCollector)
     #: Optional span/counter/gauge tracer.  ``runtime_session`` and
     #: ``execute`` install it as the ambient :mod:`repro.obs` tracer, so
@@ -511,8 +511,7 @@ class RuntimeConfig:
     #: default) records nothing — library and test use stays free of
     #: side effects; the CLI opts in via ``rundb.resolve_db_path``.
     #: With a path set, every ``execute()`` is buffered and the session
-    #: flushes one run row at exit, and the chunk autotuner loads/saves
-    #: its locked-in sizes keyed by (engine, n, workers).
+    #: flushes one run row at exit.
     db_path: Union[str, Path, None] = None
     #: Label stamped on the recorded run (e.g. the CLI command name).
     db_label: Optional[str] = None
@@ -520,9 +519,6 @@ class RuntimeConfig:
         default=None, repr=False, compare=False
     )
     _pool: Optional[PersistentPool] = field(
-        default=None, repr=False, compare=False
-    )
-    _autotuner: Optional[ChunkAutotuner] = field(
         default=None, repr=False, compare=False
     )
     _recorder: Optional[Any] = field(
@@ -541,18 +537,6 @@ class RuntimeConfig:
         if self._pool is None:
             self._pool = PersistentPool()
         return self._pool
-
-    def autotuner(self) -> ChunkAutotuner:
-        """This config's chunk autotuner (lazy, persists across runs).
-        With a run DB configured it loads/saves locked-in sizes keyed
-        by (engine, n, workers), so sessions stop relearning."""
-        if self._autotuner is None:
-            store = None
-            if self.db_path is not None:
-                from ..rundb.recorder import AutotuneStore
-                store = AutotuneStore(self.db_path)
-            self._autotuner = ChunkAutotuner(store=store)
-        return self._autotuner
 
     def recorder(self):
         """This config's session recorder, or ``None`` when no run DB
@@ -716,23 +700,12 @@ def _execute_fresh(
                 file=sys.stderr,
             )
     workers = max(1, config.workers)
-    chunk_size = config.chunk_size
-    if chunk_size is None and config.autotune and workers > 1:
-        chunk_size = config.autotuner().suggest(
-            spec.trials, workers, key=(config.engine, spec.n_points)
-        )
-    chunks = plan_chunks(spec.trials, workers, chunk_size)
+    chunks = plan_chunks(spec.trials, workers, config.chunk_size)
     if workers <= 1 or len(chunks) <= 1:
         return _run_serial(spec, chunks, collector, config.engine)
-    try:
-        outcomes = _run_pool(spec, chunks, workers, collector, config)
-    except OSError:
-        # pool could not be created at all (no semaphores / no fork):
-        # degrade the entire run to in-process execution
-        return _run_serial(
-            spec, chunks, collector, config.engine, mode="degraded"
-        )
-    return _merge_outcomes(spec, outcomes)
+    return _merge_outcomes(
+        spec, _run_pool(spec, chunks, workers, collector, config)
+    )
 
 
 def _run_serial(
@@ -740,16 +713,13 @@ def _run_serial(
     chunks: List[Tuple[int, int]],
     collector: MetricsCollector,
     engine: str = "object",
-    mode: str = "serial",
 ) -> TrialResult:
     result = TrialResult.empty(spec.capacity)
-    if mode == "degraded":
-        obs.count("runtime.degraded")
     for start, count in chunks:
         began = time.perf_counter()
-        with obs.span(f"chunk.{mode}"):
+        with obs.span("chunk.serial"):
             result.merge(build_trials(spec, start, count, engine))
-        collector.record_chunk(count, time.perf_counter() - began, mode)
+        collector.record_chunk(count, time.perf_counter() - began, "serial")
     return result
 
 
@@ -760,124 +730,75 @@ def _run_pool(
     collector: MetricsCollector,
     config: RuntimeConfig,
 ) -> List[ChunkOutcome]:
-    """Fan chunks over the (persistent) process pool with shared-memory
-    point transport; retry a failed chunk once in the pool, then rescue
-    it in-process.  A broken pool (worker crash) short-circuits every
-    surviving future straight to the rescue list — no resubmissions to
-    a dead pool, no inflated retry counts.  Only raises if a chunk
-    fails even in-process (a genuine bug, not a pool issue).
+    """Run every chunk on a pool worker, or rescue it in-process.
+
+    A chunk the pool gives no outcome for — the pool could not be
+    created (``OSError``), a worker died (``BrokenProcessPool``), or
+    the chunk raised in its worker — runs through :func:`build_trials`
+    in mode ``degraded``.  A broken session pool is recreated on its
+    next use.  Only a chunk that fails in-process too raises.
     """
-    engine = config.engine
     # configs installed by runtime_session keep their pool warm across
     # execute() calls; ad-hoc configs get a per-call pool so direct
     # execute(spec, config) use can't leak worker processes
     persistent = any(config is entry for entry in _ACTIVE)
-    if persistent:
-        pool = config.persistent_pool().acquire(workers)
-    else:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
-
-    outcomes: List[ChunkOutcome] = []
-    rescued: List[Tuple[int, int]] = []
     traced = obs.enabled()
+    pool: Optional[ProcessPoolExecutor] = None
+    futures: List[Optional[Future]] = []
     broken = False
-
-    def _mark_broken() -> None:
-        nonlocal broken
-        broken = True
-        obs.count("runtime.pool_broken")
-        if persistent:
-            config.persistent_pool().mark_broken()
-
-    block: Optional[SharedPointBlock] = None
+    pool_began = time.perf_counter()
     try:
-        bounds = spec.bounds_rect() or Rect.unit(2)
         try:
-            block = SharedPointBlock.create(
-                spec.trials, spec.n_points, bounds.dim
-            )
-        except (OSError, ValueError):
-            block = None  # no shared memory: workers regenerate points
-        shm_ref = block.ref if block is not None else None
-
-        pool_began = time.perf_counter()
-        futures: List[Tuple[int, int, Any]] = []
-        with obs.span("pool.generate"):
+            if persistent:
+                pool = config.persistent_pool().acquire(workers)
+            else:
+                pool = ProcessPoolExecutor(
+                    max_workers=min(workers, len(chunks))
+                )
             for start, count in chunks:
-                if block is not None:
-                    array = block.array
-                    for trial in range(start, start + count):
-                        array[trial] = spec.make_generator(
-                            trial
-                        ).generate_array(spec.n_points)
-                if broken:
-                    rescued.append((start, count))
-                    continue
-                try:
-                    # submit as soon as this chunk's rows are written,
-                    # overlapping generation with worker execution
-                    futures.append((start, count, pool.submit(
-                        _run_chunk, spec, start, count, engine, traced,
-                        shm_ref,
-                    )))
-                except BrokenProcessPool:
-                    _mark_broken()
-                    rescued.append((start, count))
-        for start, count, future in futures:
-            if broken:
-                # a dead pool fails every surviving future; send them
-                # straight to rescue instead of burning retries
-                rescued.append((start, count))
-                continue
+                futures.append(pool.submit(
+                    _run_chunk, spec, start, count, config.engine, traced
+                ))
+        except (OSError, BrokenProcessPool):
+            # no pool on this platform, or it died taking work: the
+            # chunks it never took are rescued below
+            broken = pool is not None
+        futures += [None] * (len(chunks) - len(futures))
+
+        outcomes: List[ChunkOutcome] = []
+        rescued: List[Tuple[int, int]] = []
+        for (start, count), future in zip(chunks, futures):
             try:
-                outcome = future.result()
+                outcome = future.result() if future is not None else None
             except BrokenProcessPool:
-                _mark_broken()
+                broken, outcome = True, None
+            except Exception:
+                outcome = None
+            if outcome is None:
                 rescued.append((start, count))
                 continue
-            except Exception:
-                collector.record_retry()
-                obs.count("runtime.retry")
-                try:
-                    outcome = pool \
-                        .submit(_run_chunk, spec, start, count, engine,
-                                traced, shm_ref) \
-                        .result()
-                except BrokenProcessPool:
-                    _mark_broken()
-                    rescued.append((start, count))
-                    continue
-                except Exception:
-                    rescued.append((start, count))
-                    continue
             outcomes.append(outcome)
             collector.record_chunk(outcome.trials, outcome.wall_time, "pool")
             # pool chunks time themselves in the worker; fold the
             # measured duration into the coordinator's span tree
             obs.record("chunk.pool", outcome.wall_time)
         pool_elapsed = time.perf_counter() - pool_began
+        if broken:
+            obs.count("runtime.pool_broken")
+            if persistent:
+                config.persistent_pool().mark_broken()
 
         rescue_s = 0.0
         for start, count in rescued:
             obs.count("runtime.degraded")
             began = time.perf_counter()
             with obs.span("chunk.degraded"):
-                if block is not None:
-                    result = build_trials_from_arrays(
-                        spec, start, count, engine,
-                        block.array[start:start + count],
-                    )
-                else:
-                    result = build_trials(spec, start, count, engine)
+                result = build_trials(spec, start, count, config.engine)
             wall = time.perf_counter() - began
-            outcomes.append(
-                ChunkOutcome(
-                    start=start,
-                    trials=count,
-                    payload=result.to_payload(),
-                    wall_time=wall,
-                )
-            )
+            outcomes.append(ChunkOutcome(
+                start=start, trials=count, payload=result.to_payload(),
+                wall_time=wall,
+            ))
             collector.record_chunk(count, wall, "degraded")
             rescue_s += wall
 
@@ -888,61 +809,10 @@ def _run_pool(
                 "pool.rescue_fraction",
                 rescue_s / total if rescued and total > 0.0 else 0.0,
             )
-        if config.autotune:
-            config.autotuner().observe(
-                _pool_run_stats(
-                    chunks, outcomes, workers, pool_elapsed, rescue_s,
-                    bool(rescued),
-                ),
-                key=(engine, spec.n_points),
-            )
     finally:
-        if block is not None:
-            block.close_and_unlink()
-        if not persistent:
+        if pool is not None and not persistent:
             pool.shutdown(wait=True)
     return outcomes
-
-
-def _pool_run_stats(
-    chunks: List[Tuple[int, int]],
-    outcomes: List[ChunkOutcome],
-    workers: int,
-    pool_elapsed: float,
-    rescue_s: float,
-    had_rescues: bool,
-) -> PoolRunStats:
-    """Utilization summary of one pool run for the chunk autotuner.
-
-    Computed from chunk wall times and worker pids, so it works on
-    untraced runs too (rescued chunks carry ``pid=0`` and count only
-    toward the rescue fraction, never toward worker busy time).
-    """
-    busy_by_pid: Dict[int, float] = {}
-    for outcome in outcomes:
-        if outcome.pid:
-            busy_by_pid[outcome.pid] = (
-                busy_by_pid.get(outcome.pid, 0.0) + outcome.wall_time
-            )
-    mean_busy_fraction = 0.0
-    straggler_ratio = 1.0
-    if busy_by_pid and pool_elapsed > 0.0:
-        busy = list(busy_by_pid.values())
-        mean_busy = sum(busy) / len(busy)
-        mean_busy_fraction = mean_busy / pool_elapsed
-        if mean_busy > 0.0:
-            straggler_ratio = max(busy) / mean_busy
-    total = pool_elapsed + rescue_s
-    return PoolRunStats(
-        workers=workers,
-        chunk_size=chunks[0][1],
-        chunk_count=len(chunks),
-        pool_elapsed=pool_elapsed,
-        mean_busy_fraction=mean_busy_fraction,
-        straggler_ratio=straggler_ratio,
-        rescue_fraction=rescue_s / total if had_rescues and total > 0.0
-        else 0.0,
-    )
 
 
 def _merge_worker_traces(

@@ -41,7 +41,6 @@ class RunReport:
     trees_built: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    retries: int = 0
     wall_time: float = 0.0
     #: span/counter/gauge tracer for the run, when instrumentation was
     #: on (``RuntimeConfig.tracer``); ``summary()`` renders its tree
@@ -89,7 +88,6 @@ class RunReport:
             f"{self.cache_hit_ratio:.0%} hit ratio)",
             f"  chunks         : {len(self.chunks)} ({mode_part})",
             f"  trees built    : {self.trees_built}",
-            f"  retries        : {self.retries}",
             f"  wall time      : {self.wall_time:.3f}s",
             f"  throughput     : {self.trees_per_second:.1f} trees/sec",
         ]
@@ -106,7 +104,6 @@ class MetricsCollector:
         self._trees_built = 0
         self._cache_hits = 0
         self._cache_misses = 0
-        self._retries = 0
         self._wall_time = 0.0
         self._workers = 1
 
@@ -130,10 +127,6 @@ class MetricsCollector:
     def record_cache_miss(self) -> None:
         """An experiment had to be (re)run."""
         self._cache_misses += 1
-
-    def record_retry(self) -> None:
-        """A failed chunk was resubmitted."""
-        self._retries += 1
 
     def add_wall_time(self, seconds: float) -> None:
         """Fold one execution's wall clock into the session total."""
@@ -164,7 +157,6 @@ class MetricsCollector:
             trees_built=self._trees_built,
             cache_hits=self._cache_hits,
             cache_misses=self._cache_misses,
-            retries=self._retries,
             wall_time=self._wall_time,
         )
 

@@ -99,7 +99,7 @@ class PointGenerator:
         RNG ends in the state ``generate(n)`` leaves it in.
 
         Both methods take the same draw-or-fallback step, so callers
-        (the runtime's trial loops and shared-memory pool path) may
+        (the runtime's trial loops and pool workers) may
         rely on ``generate_array`` being bit-identical to ``generate``
         for every generator.
         """

@@ -15,7 +15,7 @@ class TestParser:
         assert args.trials == 10
         assert args.seed == 1987
         assert args.workers == 1
-        assert args.engine == "object"
+        assert args.engine == "vector"
         assert args.cache_dir is None
         assert args.no_cache is False
         assert args.verbose is False
@@ -23,9 +23,9 @@ class TestParser:
     def test_engine_flag_parses(self):
         from repro.__main__ import runtime_config_from_args
 
-        args = build_parser().parse_args(["table1", "--engine", "vector"])
-        assert args.engine == "vector"
-        assert runtime_config_from_args(args).engine == "vector"
+        args = build_parser().parse_args(["table1", "--engine", "object"])
+        assert args.engine == "object"
+        assert runtime_config_from_args(args).engine == "object"
 
     def test_engine_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):

@@ -37,7 +37,7 @@ class TestExecutorSpans:
         assert chunk.children["trial.census"].count == SPEC.trials
 
     def test_tree_counters_and_gauges(self):
-        config = _traced_config()
+        config = _traced_config(engine="object")
         execute(SPEC, config)
         t = config.tracer
         assert t.counters["tree.built"] == SPEC.trials
@@ -46,7 +46,9 @@ class TestExecutorSpans:
         assert t.gauges["tree.max_depth"].max >= 1
 
     def test_cache_hit_and_miss_counters(self, tmp_path):
-        config = _traced_config(use_cache=True, cache_dir=tmp_path)
+        config = _traced_config(
+            use_cache=True, cache_dir=tmp_path, engine="object"
+        )
         execute(SPEC, config)
         execute(SPEC, config)
         t = config.tracer
@@ -60,7 +62,7 @@ class TestExecutorSpans:
         assert store.count == 1
 
     def test_runtime_session_installs_the_tracer(self):
-        config = _traced_config()
+        config = _traced_config(engine="object")
         with runtime_session(config):
             assert obs.active_tracer() is config.tracer
             execute(SPEC)
@@ -79,7 +81,8 @@ class TestHarnessSpans:
             return UniformPoints(seed=seed)
 
         with tracing() as t:
-            run_trials(4, n_points=60, trials=2, generator_factory=factory)
+            run_trials(4, n_points=60, trials=2, generator_factory=factory,
+                       engine="object")
         assert t.roots["trial.build"].count == 2
         assert t.counters["tree.built"] == 2
 
@@ -110,7 +113,7 @@ class TestSolverInstrumentation:
 
 class TestRunReportTrace:
     def test_report_carries_the_tracer(self):
-        config = _traced_config()
+        config = _traced_config(engine="object")
         execute(SPEC, config)
         report = config.report()
         assert report.trace is config.tracer
@@ -153,7 +156,9 @@ class TestWorkerTelemetry:
         assert w0.children["trial.build"].count >= 1
 
     def test_worker_counters_fold_into_coordinator_totals(self):
-        t, result = self._pooled()
+        config = _traced_config(workers=2, chunk_size=1, engine="object")
+        result = execute(self.POOL_SPEC, config)
+        t = config.tracer
         # pre-v2, pooled traced runs reported tree.built == 0 because
         # workers ran untraced; now the counts come home with the chunks
         assert t.counters["tree.built"] == self.POOL_SPEC.trials

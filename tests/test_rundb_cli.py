@@ -42,7 +42,7 @@ class TestInitAndGuard:
         assert db_main(["--db", str(db_path), "init"]) == 0
         out = capsys.readouterr().out
         assert "run DB ready" in out
-        assert "schema v3" in out
+        assert "schema v4" in out
         assert db_path.exists()
 
     def test_no_db_env_refuses(self, db_path):

@@ -1,6 +1,6 @@
 """Recording hooks: path resolution precedence, automatic session
-recording through ``runtime_session``, autotune persistence across
-configs, bench-snapshot recording, serve drift recording, and the
+recording through ``runtime_session``, bench-snapshot recording,
+serve drift recording, and the
 recording-never-breaks-the-run guarantee."""
 
 from pathlib import Path
@@ -9,14 +9,12 @@ import pytest
 
 from repro.obs import Tracer
 from repro.runtime import (
-    ChunkAutotuner,
     ExperimentSpec,
     RuntimeConfig,
     execute,
     runtime_session,
 )
 from repro.rundb.recorder import (
-    AutotuneStore,
     ServeRecorder,
     SessionRecorder,
     default_db_path,
@@ -110,38 +108,6 @@ class TestSessionRecording:
 def _fake_result():
     result = execute(SPEC, RuntimeConfig(workers=1, use_cache=False))
     return result
-
-
-class TestAutotunePersistence:
-    def test_store_round_trip(self, tmp_path):
-        store = AutotuneStore(tmp_path / "runs.sqlite")
-        assert store.load("object", 500, 2) is None
-        store.save("object", 500, 2, 8)
-        assert store.load("object", 500, 2) == 8
-
-    def test_store_swallows_errors(self, tmp_path):
-        broken = AutotuneStore(tmp_path)  # a directory, not a DB
-        assert broken.load("object", 500, 2) is None
-        broken.save("object", 500, 2, 8)  # must not raise
-
-    def test_tuner_seeds_from_store(self, tmp_path):
-        db_path = tmp_path / "runs.sqlite"
-        AutotuneStore(db_path).save("object", 500, 2, 6)
-        tuner = ChunkAutotuner(store=AutotuneStore(db_path))
-        # 32 trials / 2 workers leaves room: the persisted 6 survives
-        assert tuner.suggest(32, 2, key=("object", 500)) == 6
-        # a different key has no persisted size and no scalar fallback
-        assert tuner.suggest(32, 2, key=("vector", 500)) is None
-
-    def test_config_attaches_store_when_db_configured(self, tmp_path):
-        db_path = tmp_path / "runs.sqlite"
-        AutotuneStore(db_path).save("object", SPEC.n_points, 2, 3)
-        config = RuntimeConfig(workers=2, db_path=db_path)
-        tuner = config.autotuner()
-        assert tuner.suggest(
-            SPEC.trials, 2, key=("object", SPEC.n_points)
-        ) in (1, 2)  # clamped to ceil(3 trials / 2 workers)
-        assert RuntimeConfig(workers=2)._autotuner is None
 
 
 class TestBenchRecording:

@@ -1,5 +1,5 @@
 """RunDB read/write behavior: run lifecycle, spec dedupe, traces,
-drift, autotune upserts, retention, and — the satellite the schema's
+drift, retention, and — the satellite the schema's
 WAL + retry design exists for — concurrent writers sharing one file."""
 
 import subprocess
@@ -124,17 +124,6 @@ class TestPayloads:
             assert len(history) == 1
             assert history[0]["peak_points"] == 1002
             assert history[0]["max_page_error"] == pytest.approx(0.3)
-
-
-class TestAutotune:
-    def test_upsert(self, tmp_path):
-        with RunDB(tmp_path / "db.sqlite") as db:
-            assert db.get_chunk_size("object", 500, 2) is None
-            db.set_chunk_size("object", 500, 2, 4)
-            db.set_chunk_size("object", 500, 2, 8)
-            db.set_chunk_size("vector", 500, 2, 16)
-            assert db.get_chunk_size("object", 500, 2) == 8
-            assert len(db.autotune_entries()) == 2
 
 
 class TestHistories:

@@ -1,5 +1,6 @@
-"""Schema versioning: fresh creation, v1 -> current upgrade with data
-preserved, and refusal to open files written by newer code."""
+"""Schema versioning: fresh creation, v1 -> current and v3 -> current
+upgrades with data preserved, and refusal to open files written by
+newer code."""
 
 import sqlite3
 
@@ -57,8 +58,9 @@ class TestFreshDatabase:
             conn = db.connect()
             assert schema_version(conn) == SCHEMA_VERSION
             assert {"runs", "specs", "trial_results", "bench_stages",
-                    "spans", "counters", "gauges", "autotune",
+                    "spans", "counters", "gauges",
                     "drift_samples"} <= _tables(conn)
+            assert "autotune" not in _tables(conn)
 
     def test_migrate_idempotent(self, tmp_path):
         path = tmp_path / "runs.sqlite"
@@ -82,9 +84,6 @@ class TestUpgradeFromV1:
             assert run["stages"][0]["stage_wall_s"] == pytest.approx(0.25)
             assert run["trials"][0]["mean_occupancy"] == pytest.approx(1.93)
             # the v2 tables arrived and are usable
-            assert db.get_chunk_size("object", 1000, 2) is None
-            db.set_chunk_size("object", 1000, 2, 8)
-            assert db.get_chunk_size("object", 1000, 2) == 8
             db.record_drift(1, 0, {
                 "n_points": 500, "actual_pages": 40, "page_error": 0.01,
                 "occupancy_error": -0.02, "armed": True, "alarm": False,
@@ -99,6 +98,30 @@ class TestUpgradeFromV1:
         conn = sqlite3.connect(str(path))
         assert schema_version(conn) == SCHEMA_VERSION
         conn.close()
+
+
+class TestUpgradeFromV3:
+    def test_drops_autotune_and_keeps_runs(self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        _build_v1(path)
+        conn = sqlite3.connect(str(path))
+        for step in (2, 3):
+            for statement in _statements(MIGRATIONS[step]):
+                conn.execute(statement)
+        conn.execute("PRAGMA user_version = 3")
+        conn.execute(
+            "INSERT INTO autotune (engine, n_points, workers, chunk_size, "
+            "updated_unix, run_id) VALUES ('vector', 1000, 2, 8, 1.0, 1)"
+        )
+        conn.commit()
+        conn.close()
+        with RunDB(path) as db:
+            assert db.schema_version == SCHEMA_VERSION == 4
+            assert "autotune" not in _tables(db.connect())
+            assert db.counts()["runs"] == 1
+            run = db.run(1)
+            assert run["label"] == "legacy run"
+            assert run["trials"][0]["mean_occupancy"] == pytest.approx(1.93)
 
 
 class TestFutureVersion:

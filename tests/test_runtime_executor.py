@@ -9,22 +9,29 @@ from hypothesis import strategies as st
 
 from repro.quadtree import CensusAccumulator, DepthCensus
 from repro.runtime import (
-    ChunkAutotuner,
     ExperimentSpec,
-    PoolRunStats,
     ResultCache,
     RuntimeConfig,
     TrialResult,
     active_config,
     build_trials,
     execute,
-    live_block_count,
     plan_chunks,
     runtime_session,
 )
 from repro.runtime import executor as executor_module
 
 SPEC = ExperimentSpec(capacity=2, n_points=60, trials=5, seed=3)
+SPEC_DEPTH = ExperimentSpec(
+    capacity=2, n_points=60, trials=5, seed=3, collect_depth=True
+)
+
+
+def _assert_same_result(got, expected):
+    """Bit-identical: every count sum and every per-trial depth census."""
+    assert got.trials == expected.trials
+    assert got.accumulator.count_sums == expected.accumulator.count_sums
+    assert got.depth_censuses == expected.depth_censuses
 
 
 # ----------------------------------------------------------------------
@@ -34,31 +41,25 @@ SPEC = ExperimentSpec(capacity=2, n_points=60, trials=5, seed=3)
 _real_run_chunk = executor_module._run_chunk
 
 
-def _flaky_chunk(spec, start, count, engine="object", traced=False, shm=None):
-    """A chunk runner that fails once (for chunk 0) then recovers.
+def _failing_first_chunk(spec, start, count, engine="object", traced=False):
+    """A chunk runner whose chunk 0 raises in the worker.
 
-    Module-level (and parameterized via the environment) so it pickles
-    to pool workers by reference like the real ``_run_chunk``.
+    Module-level so it pickles to pool workers by reference like the
+    real ``_run_chunk``.
     """
-    marker = os.path.join(
-        os.environ["REPRO_TEST_FLAKY_DIR"], f"{start}.failed"
-    )
-    if start == 0 and not os.path.exists(marker):
-        with open(marker, "w"):
-            pass
+    if start == 0:
         raise RuntimeError("injected chunk failure")
-    return _real_run_chunk(spec, start, count, engine, traced, shm)
+    return _real_run_chunk(spec, start, count, engine, traced)
 
 
-def _always_failing(spec, start, count, engine="object", traced=False,
-                    shm=None):
+def _always_failing(spec, start, count, engine="object", traced=False):
     raise RuntimeError("injected permanent failure")
 
 
-def _crashing(spec, start, count, engine="object", traced=False, shm=None):
+def _crashing(spec, start, count, engine="object", traced=False):
     if start == 0:
         os._exit(13)  # simulate a worker segfault / OOM kill
-    return _real_run_chunk(spec, start, count, engine, traced, shm)
+    return _real_run_chunk(spec, start, count, engine, traced)
 
 
 # ----------------------------------------------------------------------
@@ -246,28 +247,39 @@ class TestExecuteParallel:
         assert sum(c.trials for c in report.chunks) == SPEC.trials
         assert all(c.mode == "pool" for c in report.chunks)
 
-    def test_failed_chunk_retries_once_then_succeeds(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
-        monkeypatch.setattr(executor_module, "_run_chunk", _flaky_chunk)
-        config = RuntimeConfig(workers=2, chunk_size=2)
-        result = execute(SPEC, config)
-        serial = build_trials(SPEC, 0, SPEC.trials)
-        assert result.accumulator.count_sums == serial.accumulator.count_sums
-        report = config.report()
-        assert report.retries == 1
-        assert all(c.mode == "pool" for c in report.chunks)
+    def test_failed_chunk_is_rescued_in_process(self, monkeypatch):
+        from repro.obs import Tracer
+
+        spec = SPEC_DEPTH
+        monkeypatch.setattr(
+            executor_module, "_run_chunk", _failing_first_chunk
+        )
+        tracer = Tracer()
+        config = RuntimeConfig(workers=2, chunk_size=2, tracer=tracer)
+        result = execute(spec, config)
+        _assert_same_result(result, build_trials(spec, 0, spec.trials))
+        modes = [c.mode for c in config.report().chunks]
+        assert sorted(modes) == ["degraded", "pool", "pool"]
+        assert tracer.counters["runtime.degraded"] == 1
+        # a chunk's own exception leaves the pool usable
+        assert "runtime.pool_broken" not in tracer.counters
 
     def test_permanent_chunk_failure_degrades_in_process(self, monkeypatch):
+        spec = SPEC_DEPTH
         monkeypatch.setattr(executor_module, "_run_chunk", _always_failing)
         config = RuntimeConfig(workers=2, chunk_size=2)
-        result = execute(SPEC, config)
-        serial = build_trials(SPEC, 0, SPEC.trials)
-        assert result.accumulator.count_sums == serial.accumulator.count_sums
-        report = config.report()
-        assert report.retries == len(report.chunks)
-        assert all(c.mode == "degraded" for c in report.chunks)
+        result = execute(spec, config)
+        _assert_same_result(result, build_trials(spec, 0, spec.trials))
+        assert all(c.mode == "degraded" for c in config.report().chunks)
+
+    def test_chunk_failing_in_process_too_raises(self, monkeypatch):
+        def broken_build(*args, **kwargs):
+            raise RuntimeError("genuine bug")
+
+        monkeypatch.setattr(executor_module, "_run_chunk", _always_failing)
+        monkeypatch.setattr(executor_module, "build_trials", broken_build)
+        with pytest.raises(RuntimeError, match="genuine bug"):
+            execute(SPEC, RuntimeConfig(workers=2, chunk_size=2))
 
     def test_worker_crash_degrades_gracefully(self, monkeypatch):
         monkeypatch.setattr(executor_module, "_run_chunk", _crashing)
@@ -292,12 +304,11 @@ class TestExecuteParallel:
 
 
 class TestBrokenPoolShortCircuit:
-    """A dead pool must not see resubmissions: the crashed chunk and
-    every surviving future go straight to in-process rescue, and the
-    retry counter stays honest (regression for the old behavior of one
-    futile in-pool retry per surviving chunk)."""
+    """A dead pool fails every chunk it still holds: the crashed chunk
+    and every surviving future go straight to in-process rescue, and
+    the session's pool is recreated on its next use."""
 
-    def test_crash_counts_zero_retries(self, monkeypatch):
+    def test_crash_marks_pool_broken_and_rescues(self, monkeypatch):
         from repro.obs import Tracer
 
         monkeypatch.setattr(executor_module, "_run_chunk", _crashing)
@@ -306,20 +317,12 @@ class TestBrokenPoolShortCircuit:
         result = execute(SPEC, config)
         serial = build_trials(SPEC, 0, SPEC.trials)
         assert result.accumulator.count_sums == serial.accumulator.count_sums
-        report = config.report()
-        # the crash breaks the pool: no in-pool retries are attempted
-        assert report.retries == 0
-        assert tracer.counters.get("runtime.retry", 0) == 0
-        assert tracer.counters.get("runtime.pool_broken", 0) >= 1
-        assert all(c.mode == "degraded" for c in report.chunks)
-
-    def test_ordinary_failures_still_retry_in_pool(self, monkeypatch):
-        monkeypatch.setattr(executor_module, "_run_chunk", _always_failing)
-        config = RuntimeConfig(workers=2, chunk_size=2)
-        execute(SPEC, config)
-        report = config.report()
-        # picklable exceptions do not break the pool: one retry each
-        assert report.retries == len(report.chunks)
+        modes = [c.mode for c in config.report().chunks]
+        assert tracer.counters.get("runtime.pool_broken", 0) == 1
+        # a chunk a worker finished before the crash keeps its outcome;
+        # the crashed one and every chunk still pending are rescued
+        assert "degraded" in modes
+        assert tracer.counters["runtime.degraded"] == modes.count("degraded")
 
     def test_session_pool_recreated_after_break(self, monkeypatch):
         with runtime_session(workers=2, chunk_size=2) as config:
@@ -363,41 +366,9 @@ class TestPersistentPool:
         holder.shutdown()
         assert holder._pool is None
 
-
-class TestSharedMemoryLifecycle:
-    def test_no_blocks_leak_on_normal_run(self):
-        with runtime_session(workers=2, chunk_size=2, engine="vector"):
-            execute(SPEC)
-        assert live_block_count() == 0
-
-    def test_no_blocks_leak_on_worker_crash(self, monkeypatch):
-        monkeypatch.setattr(executor_module, "_run_chunk", _crashing)
-        execute(SPEC, RuntimeConfig(workers=2, chunk_size=2))
-        assert live_block_count() == 0
-
-    def test_no_blocks_leak_on_permanent_failure(self, monkeypatch):
-        monkeypatch.setattr(executor_module, "_run_chunk", _always_failing)
-        execute(SPEC, RuntimeConfig(workers=2, chunk_size=2))
-        assert live_block_count() == 0
-
-    def test_shm_creation_failure_falls_back_to_regeneration(
-        self, monkeypatch
-    ):
-        def no_shm(*args, **kwargs):
-            raise OSError("shared memory unavailable")
-
-        monkeypatch.setattr(
-            executor_module.SharedPointBlock, "create", no_shm
-        )
-        config = RuntimeConfig(workers=2, chunk_size=2)
-        result = execute(SPEC, config)
-        serial = build_trials(SPEC, 0, SPEC.trials)
-        assert result.accumulator.count_sums == serial.accumulator.count_sums
-        assert all(c.mode == "pool" for c in config.report().chunks)
-
     def test_no_resource_tracker_warnings(self):
-        """The interpreter must exit without shared_memory leak
-        warnings, both on clean pooled runs and crash rescues."""
+        """The interpreter must exit without resource leak warnings,
+        both on clean pooled runs and crash rescues."""
         import subprocess
         import sys
         import textwrap
@@ -413,8 +384,7 @@ class TestSharedMemoryLifecycle:
             with runtime_session(workers=2, chunk_size=2, engine="vector"):
                 execute(spec)
 
-            def crashing(spec, start, count, engine="object", traced=False,
-                         shm=None):
+            def crashing(spec, start, count, engine="object", traced=False):
                 os._exit(13)
 
             executor_module._run_chunk = crashing
@@ -461,69 +431,6 @@ class TestEngineFallbackSignal:
     def test_quiet_without_verbose(self, capsys):
         execute(self.SPEC_AREA, RuntimeConfig(engine="vector"))
         assert "leaf areas" not in capsys.readouterr().err
-
-
-class TestChunkAutotuner:
-    @staticmethod
-    def stats(**overrides):
-        base = dict(
-            workers=2, chunk_size=4, chunk_count=8, pool_elapsed=1.0,
-            mean_busy_fraction=0.9, straggler_ratio=1.1,
-            rescue_fraction=0.0,
-        )
-        base.update(overrides)
-        return PoolRunStats(**base)
-
-    def test_no_suggestion_before_first_observation(self):
-        tuner = ChunkAutotuner()
-        assert tuner.suggest(100, 2) is None
-
-    def test_low_busy_doubles(self):
-        tuner = ChunkAutotuner()
-        tuner.observe(self.stats(mean_busy_fraction=0.3))
-        assert tuner.suggest(100, 2) == 8
-
-    def test_high_straggler_halves(self):
-        tuner = ChunkAutotuner()
-        tuner.observe(self.stats(straggler_ratio=2.0))
-        assert tuner.suggest(100, 2) == 2
-
-    def test_balanced_run_locks_in(self):
-        tuner = ChunkAutotuner()
-        tuner.observe(self.stats())
-        assert tuner.suggest(100, 2) == 4
-
-    def test_rescued_runs_are_ignored(self):
-        tuner = ChunkAutotuner()
-        tuner.observe(self.stats(
-            mean_busy_fraction=0.1, rescue_fraction=0.5
-        ))
-        assert tuner.suggest(100, 2) is None
-
-    def test_suggestion_clamps_to_run_shape(self):
-        tuner = ChunkAutotuner()
-        tuner.observe(self.stats(chunk_size=64, mean_busy_fraction=0.3))
-        assert tuner.suggestion == 128
-        # 10 trials / 2 workers: never fewer than one chunk per worker
-        assert tuner.suggest(10, 2) == 5
-        assert tuner.suggest(1000, 2) == 128
-
-    def test_chunk_size_one_never_halves_to_zero(self):
-        tuner = ChunkAutotuner()
-        tuner.observe(self.stats(chunk_size=1, straggler_ratio=5.0))
-        assert tuner.suggest(100, 2) == 1
-
-    def test_pooled_session_feeds_the_autotuner(self):
-        spec = ExperimentSpec(capacity=2, n_points=40, trials=12, seed=5)
-        with runtime_session(workers=2) as config:
-            execute(spec)
-            assert config.autotuner().suggestion is not None
-
-    def test_autotune_off_keeps_static_default(self):
-        spec = ExperimentSpec(capacity=2, n_points=40, trials=12, seed=5)
-        with runtime_session(workers=2, autotune=False) as config:
-            execute(spec)
-            assert config._autotuner is None
 
 
 class TestExecuteCache:
@@ -618,3 +525,37 @@ class TestRuntimeConfig:
         cache = config.result_cache()
         assert cache is config.result_cache()
         assert cache.directory == tmp_path
+
+    def test_default_engine_is_the_kernel(self):
+        from repro.__main__ import build_parser, runtime_config_from_args
+
+        assert RuntimeConfig().engine == "vector"
+        args = build_parser().parse_args(["table2"])
+        assert runtime_config_from_args(args).engine == "vector"
+
+
+class TestUntaggedFactory:
+    """A generator factory the spec layer cannot name runs in-process
+    through the executor's own trial loop."""
+
+    def test_counts_the_same_tree_counters_as_tagged(self):
+        from repro.experiments import run_trials
+        from repro.obs import Tracer, tracing
+        from repro.workloads import UniformPoints
+
+        def tree_counters(tracer):
+            return {
+                name: value for name, value in tracer.counters.items()
+                if name.startswith("tree.")
+            }
+
+        kw = dict(n_points=120, trials=3, seed=9, engine="object")
+        tagged = Tracer()
+        run_trials(2, runtime=RuntimeConfig(tracer=tagged), **kw)
+        untagged = Tracer()
+        with tracing(untagged):
+            run_trials(
+                2, generator_factory=lambda s: UniformPoints(seed=s), **kw
+            )
+        assert tree_counters(untagged) == tree_counters(tagged)
+        assert tree_counters(tagged)["tree.built"] == 3

@@ -12,7 +12,6 @@ class TestCollector:
         assert report.trees_built == 0
         assert report.cache_hits == 0
         assert report.cache_misses == 0
-        assert report.retries == 0
         assert report.chunks == []
         assert report.runs == 0
 
@@ -24,7 +23,6 @@ class TestCollector:
         collector.record_chunk(2, 0.25, "degraded")
         collector.record_cache_hit()
         collector.record_cache_miss()
-        collector.record_retry()
         collector.add_wall_time(1.0)
         report = collector.report()
         assert report.workers == 4
@@ -32,7 +30,6 @@ class TestCollector:
         assert report.cache_hits == 1
         assert report.cache_misses == 1
         assert report.runs == 2
-        assert report.retries == 1
         assert report.wall_time == 1.0
         assert report.chunk_wall_time == 0.75
         assert report.trees_per_second == 5.0
@@ -66,7 +63,6 @@ class TestRunReport:
             trees_built=3,
             cache_hits=4,
             cache_misses=2,
-            retries=1,
             wall_time=0.5,
         )
         text = report.summary()

@@ -151,7 +151,7 @@ class TestSharedPoolMatrix:
 
     @pytest.mark.parametrize("engine", ["object", "vector"])
     def test_warm_session_pool_bit_identical(self, engine):
-        from repro.runtime import live_block_count, runtime_session
+        from repro.runtime import runtime_session
 
         serial = run_trials(
             3, runtime=RuntimeConfig(engine=engine), **self.KW
@@ -163,11 +163,10 @@ class TestSharedPoolMatrix:
         _assert_bit_identical(serial, first)
         _assert_bit_identical(serial, warm)
         assert warm.depth_censuses == serial.depth_censuses
-        assert live_block_count() == 0
 
     @pytest.mark.parametrize("engine", ["object", "vector"])
     def test_worker_death_rescued_bit_identical(self, engine, monkeypatch):
-        from repro.runtime import live_block_count, runtime_session
+        from repro.runtime import runtime_session
         from repro.runtime import executor as executor_module
         from tests.test_runtime_executor import _crashing
 
@@ -180,11 +179,10 @@ class TestSharedPoolMatrix:
             rescued = run_trials(3, **self.KW)
         _assert_bit_identical(serial, rescued)
         assert rescued.depth_censuses == serial.depth_censuses
-        assert live_block_count() == 0
 
     @pytest.mark.parametrize("engine", ["object", "vector"])
     def test_degraded_fallback_bit_identical(self, engine, monkeypatch):
-        from repro.runtime import live_block_count, runtime_session
+        from repro.runtime import runtime_session
         from repro.runtime import executor as executor_module
 
         class _NoPool:
@@ -201,7 +199,6 @@ class TestSharedPoolMatrix:
         with runtime_session(config):
             degraded = run_trials(3, **self.KW)
         _assert_bit_identical(serial, degraded)
-        assert live_block_count() == 0
 
     @pytest.mark.parametrize("engine", ["object", "vector"])
     def test_pooled_writer_feeds_cache(self, engine, tmp_path):

@@ -228,9 +228,9 @@ class _ReplayRNG:
 
 
 class TestGenerateArray:
-    """``generate_array`` must be bit-identical to ``generate`` — the
-    pool coordinator writes its output into shared memory in place of
-    every worker's scalar generation, so any divergence breaks the
+    """``generate_array`` must be bit-identical to ``generate`` — pool
+    workers and vector trials draw with it while object-engine serial
+    trials draw with ``generate``, so any divergence breaks the
     serial/parallel parity contract."""
 
     GENERATORS = [
