@@ -20,8 +20,9 @@ Quickstart::
     print(tree.occupancy_census().proportions())  # the experiment
 """
 
-from importlib import import_module
-from typing import Any, Dict, List, Tuple
+from typing import Dict, Tuple
+
+from ._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
@@ -83,25 +84,6 @@ _SUBMODULE_NAMES: Dict[str, Tuple[str, ...]] = {
     ),
 }
 
-_HOME: Dict[str, str] = {
-    name: module
-    for module, names in _SUBMODULE_NAMES.items()
-    for name in names
-}
-
-__all__ = sorted(_HOME)
-
-
-def __getattr__(name: str) -> Any:
-    """Import a public name's submodule on first access, then cache the
-    name here so later reads are plain attribute lookups."""
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))
+_HOME, __all__, __getattr__, __dir__ = lazy_namespace(
+    __name__, _SUBMODULE_NAMES
+)

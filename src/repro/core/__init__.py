@@ -8,147 +8,109 @@
 - :mod:`~repro.core.phasing` — log-periodic oscillation analysis.
 - :mod:`~repro.core.fagin` — the exact statistical baseline.
 - :mod:`~repro.core.pmr_model` — population analysis of the PMR tree.
+
+Names load on first read (PEP 562), as in the top-level package: the
+server's drift monitor imports ``fagin`` and ``planning`` without the
+rest of the toolkit.
 """
 
-from .aging import (
-    AreaWeightedModel,
-    DepthRow,
-    aging_gradient,
-    calibrated_area_model,
-    depth_occupancy_table,
-    mean_area_by_occupancy,
-)
-from .density_model import (
-    Density,
-    TruncatedGaussianDensity,
-    UniformDensity,
-    average_occupancy as density_average_occupancy,
-    expected_leaf_census as density_expected_leaf_census,
-    occupancy_series as density_occupancy_series,
-)
-from .dynamics import (
-    PopulationDynamics,
-    StochasticPopulation,
-    generation_span,
-    split_outcome_probabilities,
-)
-from .fagin import (
-    average_occupancy as statistical_average_occupancy,
-    expected_distribution as statistical_expected_distribution,
-    expected_leaf_profile,
-    expected_total_leaves,
-    occupancy_by_depth as statistical_occupancy_by_depth,
-    occupancy_series as statistical_occupancy_series,
-)
-from .planning import MAX_PLANNED_CAPACITY, PlanValidation, StoragePlanner
-from .sensitivity import (
-    directional_derivative,
-    occupancy_gradient_wrt_matrix,
-    pmr_occupancy_error_bar,
-    pmr_occupancy_sensitivity,
-)
-from .fixed_point import (
-    SteadyState,
-    residual,
-    solve,
-    solve_analytic,
-    solve_eigen,
-    solve_fixed_point_iteration,
-    solve_newton,
-)
-from .phasing import (
-    OscillationFit,
-    damping_ratio,
-    dominant_period,
-    extrema_spacing,
-    fit_oscillation,
-    log_periodogram,
-    oscillation_period,
-)
-from .pmr_model import (
-    PMRPopulationModel,
-    crossing_probability_for,
-    estimate_crossing_probability,
-    pmr_transform_matrix,
-)
-from .population import ModelComparison, PopulationModel
-from .uniqueness import (
-    FixedPointCandidate,
-    enumerate_fixed_points,
-    is_irreducible,
-    verify_unique_positive,
-)
-from .transform import (
-    post_split_average_occupancy,
-    recursion_probability,
-    row_sums,
-    row_sums_exact,
-    split_distribution,
-    split_row,
-    transform_matrix,
-    transform_matrix_exact,
-)
+from typing import Dict, Tuple
 
-__all__ = [
-    "AreaWeightedModel",
-    "Density",
-    "DepthRow",
-    "FixedPointCandidate",
-    "MAX_PLANNED_CAPACITY",
-    "PlanValidation",
-    "ModelComparison",
-    "OscillationFit",
-    "PMRPopulationModel",
-    "PopulationDynamics",
-    "PopulationModel",
-    "SteadyState",
-    "StochasticPopulation",
-    "StoragePlanner",
-    "TruncatedGaussianDensity",
-    "UniformDensity",
-    "aging_gradient",
-    "calibrated_area_model",
-    "crossing_probability_for",
-    "damping_ratio",
-    "density_average_occupancy",
-    "density_expected_leaf_census",
-    "density_occupancy_series",
-    "depth_occupancy_table",
-    "directional_derivative",
-    "dominant_period",
-    "enumerate_fixed_points",
-    "estimate_crossing_probability",
-    "expected_leaf_profile",
-    "expected_total_leaves",
-    "extrema_spacing",
-    "fit_oscillation",
-    "generation_span",
-    "is_irreducible",
-    "log_periodogram",
-    "mean_area_by_occupancy",
-    "occupancy_gradient_wrt_matrix",
-    "oscillation_period",
-    "pmr_occupancy_error_bar",
-    "pmr_occupancy_sensitivity",
-    "pmr_transform_matrix",
-    "post_split_average_occupancy",
-    "recursion_probability",
-    "residual",
-    "row_sums",
-    "row_sums_exact",
-    "solve",
-    "solve_analytic",
-    "solve_eigen",
-    "solve_fixed_point_iteration",
-    "solve_newton",
-    "split_distribution",
-    "split_outcome_probabilities",
-    "split_row",
-    "statistical_average_occupancy",
-    "statistical_expected_distribution",
-    "statistical_occupancy_by_depth",
-    "statistical_occupancy_series",
-    "transform_matrix",
-    "transform_matrix_exact",
-    "verify_unique_positive",
-]
+from .._lazy import lazy_namespace
+
+#: Every public name, by the submodule that defines it.
+_SUBMODULE_NAMES: Dict[str, Tuple[str, ...]] = {
+    "aging": (
+        "AreaWeightedModel",
+        "DepthRow",
+        "aging_gradient",
+        "calibrated_area_model",
+        "depth_occupancy_table",
+        "mean_area_by_occupancy",
+    ),
+    "density_model": (
+        "Density",
+        "TruncatedGaussianDensity",
+        "UniformDensity",
+        "density_average_occupancy",
+        "density_expected_leaf_census",
+        "density_occupancy_series",
+    ),
+    "dynamics": (
+        "PopulationDynamics",
+        "StochasticPopulation",
+        "generation_span",
+        "split_outcome_probabilities",
+    ),
+    "fagin": (
+        "expected_leaf_profile",
+        "expected_total_leaves",
+        "statistical_average_occupancy",
+        "statistical_expected_distribution",
+        "statistical_occupancy_by_depth",
+        "statistical_occupancy_series",
+    ),
+    "fixed_point": (
+        "SteadyState",
+        "residual",
+        "solve",
+        "solve_analytic",
+        "solve_eigen",
+        "solve_fixed_point_iteration",
+        "solve_newton",
+    ),
+    "phasing": (
+        "OscillationFit",
+        "damping_ratio",
+        "dominant_period",
+        "extrema_spacing",
+        "fit_oscillation",
+        "log_periodogram",
+        "oscillation_period",
+    ),
+    "planning": ("MAX_PLANNED_CAPACITY", "PlanValidation", "StoragePlanner"),
+    "pmr_model": (
+        "PMRPopulationModel",
+        "crossing_probability_for",
+        "estimate_crossing_probability",
+        "pmr_transform_matrix",
+    ),
+    "population": ("ModelComparison", "PopulationModel"),
+    "sensitivity": (
+        "directional_derivative",
+        "occupancy_gradient_wrt_matrix",
+        "pmr_occupancy_error_bar",
+        "pmr_occupancy_sensitivity",
+    ),
+    "transform": (
+        "post_split_average_occupancy",
+        "recursion_probability",
+        "row_sums",
+        "row_sums_exact",
+        "split_distribution",
+        "split_row",
+        "transform_matrix",
+        "transform_matrix_exact",
+    ),
+    "uniqueness": (
+        "FixedPointCandidate",
+        "enumerate_fixed_points",
+        "is_irreducible",
+        "verify_unique_positive",
+    ),
+}
+
+#: Public names that rename their submodule's attribute.
+_ALIASES: Dict[str, str] = {
+    "density_average_occupancy": "average_occupancy",
+    "density_expected_leaf_census": "expected_leaf_census",
+    "density_occupancy_series": "occupancy_series",
+    "statistical_average_occupancy": "average_occupancy",
+    "statistical_expected_distribution": "expected_distribution",
+    "statistical_occupancy_by_depth": "occupancy_by_depth",
+    "statistical_occupancy_series": "occupancy_series",
+}
+
+_HOME, __all__, __getattr__, __dir__ = lazy_namespace(
+    __name__, _SUBMODULE_NAMES, _ALIASES
+)

@@ -13,7 +13,6 @@ results), so no locking is needed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -159,19 +158,3 @@ class MetricsCollector:
             cache_misses=self._cache_misses,
             wall_time=self._wall_time,
         )
-
-
-class Stopwatch:
-    """Tiny context-manager timer the executor wraps runs in."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.elapsed = time.perf_counter() - self._start

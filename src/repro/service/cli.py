@@ -35,14 +35,18 @@ import json
 import signal
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from ..dbpath import resolve_db_path
 from ..obs import Histogram, Tracer, tracing
 from ..storage.pagefile import StorageError
 from .loadgen import LoadError, ServiceClient, run_load
 from .server import ServiceError, SpatialIndexServer, open_state
 from .telemetry import DEFAULT_SLOW_K
 from .wal import WalError
+
+if TYPE_CHECKING:
+    from ..rundb import ServeTelemetryRecorder
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,11 +192,11 @@ def _cmd_start(args: argparse.Namespace) -> int:
     if replayed:
         print(f"recovered {replayed} WAL records into {args.path}")
 
-    from ..rundb import ServeTelemetryRecorder, resolve_db_path
-
     recorder: Optional[ServeTelemetryRecorder] = None
     db_path = resolve_db_path(args.db, no_db=args.no_db)
     if db_path is not None:
+        from ..rundb import ServeTelemetryRecorder
+
         recorder = ServeTelemetryRecorder(db_path, label=f"serve {args.path}")
 
     async def _serve() -> str:

@@ -44,7 +44,9 @@ from ..kernels.census import _CODE_BITS, _as_coord_array, descend_cells
 from ..kernels.queries import PointInput
 from .page import pack_pages
 from .pagefile import DEFAULT_PAGE_SIZE, PAGE_OVERHEAD, PageFile
-from .paged_tree import PagedPRQuadtree, _leaf_meta_rows, _new_tree_meta
+from .paged_tree import (
+    PagedPRQuadtree, _LeafColumns, _leaf_meta_rows, _new_tree_meta,
+)
 
 
 class _NeedsIncremental(Exception):
@@ -132,9 +134,8 @@ def bulk_load_paged(
         try:
             tree = PagedPRQuadtree._assemble(
                 pagefile,
-                zip(
-                    depths.tolist(), paths.tolist(), range(starts.size),
-                    (stops - starts).tolist(),
+                _LeafColumns(
+                    depths, paths, np.arange(starts.size), stops - starts
                 ),
                 pool_pages, policy,
             )

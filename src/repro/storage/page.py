@@ -91,7 +91,7 @@ class SlottedPage:
     @property
     def record_count(self) -> int:
         """Live records on the page."""
-        return sum(1 for _ in self.records())
+        return sum(offset != _TOMBSTONE for offset, _ in self._slots())
 
     @property
     def free_space(self) -> int:
@@ -99,6 +99,11 @@ class SlottedPage:
         (the gap between the directory and the heap)."""
         slots, heap_start = _HEADER.unpack_from(self._buf, 0)
         return heap_start - (HEADER_SIZE + slots * SLOT_SIZE)
+
+    def _slots(self) -> Iterator[Tuple[int, int]]:
+        """``(offset, length)`` of every directory entry, slot order."""
+        end = HEADER_SIZE + self.slot_count * SLOT_SIZE
+        return _SLOT.iter_unpack(self._buf[HEADER_SIZE:end])
 
     def _slot(self, slot_id: int) -> Tuple[int, int]:
         if not 0 <= slot_id < self.slot_count:
@@ -126,10 +131,10 @@ class SlottedPage:
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(slot_id, record)`` for every live record, slot order."""
-        for slot_id in range(self.slot_count):
-            offset, length = self._slot(slot_id)
+        buf = self._buf
+        for slot_id, (offset, length) in enumerate(self._slots()):
             if offset != _TOMBSTONE:
-                yield slot_id, bytes(self._buf[offset:offset + length])
+                yield slot_id, bytes(buf[offset:offset + length])
 
     def insert(self, record: bytes) -> int:
         """Store ``record``; returns its slot id (tombstones are reused).
@@ -197,8 +202,8 @@ class SlottedPage:
         self._set_slot(slot_id, offset, len(record))
 
     def _free_slot(self) -> Optional[int]:
-        for slot_id in range(self.slot_count):
-            if self._slot(slot_id)[0] == _TOMBSTONE:
+        for slot_id, (offset, _) in enumerate(self._slots()):
+            if offset == _TOMBSTONE:
                 return slot_id
         return None
 

@@ -3,7 +3,7 @@
 The population model the paper builds exists to predict *disk-page*
 occupancy; this adapter makes the correspondence physical.  Every leaf
 bucket is one slotted page in a :class:`~repro.storage.pagefile.PageFile`,
-reached through a :class:`~repro.storage.pool.BufferPool`; the internal
+reached through a :class:`~repro.storage.pool.BufferPool`; the
 directory (which the paper's model does not count — it counts buckets)
 stays in memory, exactly like a grid file's directory fronting its
 bucket pages.
@@ -17,6 +17,13 @@ Layout of a leaf page:
   serialization of the tree shape exists to drift out of sync.
 - **slots 1..** — one fixed-width record per point (``dim`` doubles).
 
+The directory is a linear quadtree: a dict from each leaf's location
+code ``path | 1 << depth * dim`` (Orenstein's trie/z-order equivalence)
+to its page id.  A point descends from the root code ``1`` until its
+code is present, halving the block's bounds with ``Rect.child``'s
+``(lo + hi) / 2.0``; a split replaces one code with ``2^dim``, a merge
+the reverse.  The map holds only ints, which the GC never walks.
+
 Doubles round-trip exactly through ``struct``, and the split/merge
 rules below mirror :class:`~repro.quadtree.pr.PRQuadtree` decision for
 decision, so a paged tree and an in-memory tree fed the same stream
@@ -28,9 +35,13 @@ produce **bit-identical occupancy censuses** — the property
 from __future__ import annotations
 
 import heapq
+import math
 import struct
+from collections import namedtuple
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -60,31 +71,94 @@ def _leaf_meta_rows(depths: np.ndarray, paths: np.ndarray) -> np.ndarray:
 FORMAT_NAME = "pr-paged-quadtree"
 FORMAT_VERSION = 1
 
-
-class _PLeaf:
-    """A leaf stub: geometry in memory, points on its page."""
-
-    __slots__ = ("rect", "depth", "path", "page_id")
-
-    def __init__(self, rect: Rect, depth: int, path: int, page_id: int):
-        self.rect = rect
-        self.depth = depth
-        self.path = path
-        self.page_id = page_id
+Coords = Tuple[float, ...]
+#: One leaf page's ``(depth, path, page_id, count)``.
+LeafRow = Tuple[int, int, int, int]
 
 
-class _PInternal:
-    """An internal directory node (never owns a page)."""
-
-    __slots__ = ("rect", "depth", "children")
-
-    def __init__(self, rect: Rect, depth: int, children: List["_PNode"]):
-        self.rect = rect
-        self.depth = depth
-        self.children = children
+#: Leaf pages as parallel arrays, one element per page.
+_LeafColumns = namedtuple("_LeafColumns", "depths paths page_ids counts")
 
 
-_PNode = Union[_PLeaf, _PInternal]
+def _child(
+    lo: Sequence[float], hi: Sequence[float], mid: Sequence[float],
+    bits: Sequence[int],
+) -> Tuple[List[float], List[float]]:
+    """The corners of the child of ``[lo, hi)`` split at ``mid`` that
+    takes the high half on each axis whose entry of ``bits`` is set."""
+    return (
+        [m if b else a for a, m, b in zip(lo, mid, bits)],
+        [c if b else m for m, c, b in zip(mid, hi, bits)],
+    )
+
+
+def _block(bounds: Rect, depth: int, path: int) -> Rect:
+    """The block ``depth`` levels along ``path``, halved level by level
+    as ``Rect.child`` halves."""
+    lo, hi, dim = bounds.lo.coords, bounds.hi.coords, bounds.dim
+    for level in range(depth):
+        bits = [path >> level * dim + axis & 1 for axis in range(dim)]
+        lo, hi = _child(lo, hi, [(a + b) / 2.0 for a, b in zip(lo, hi)], bits)
+    return Rect(Point(*lo), Point(*hi))
+
+
+def _leaf_map(columns: _LeafColumns, bounds: Rect) -> Dict[int, int]:
+    """The directory over the leaf pages in ``columns``: location code
+    to page id.  Refuses leaves that do not tile the root block.  A
+    path's digits, reversed, give its block's first cell on the finest
+    grid: sorted by that and depth, a leaf overlaps its predecessor iff
+    it shares or nests in its block, and the leaves tile the root iff
+    each Morton interval starts one past the previous one's end."""
+    dim = bounds.dim
+    levels = 64 // dim  # the u64 path field holds dim bits per level
+    depths = np.asarray(columns.depths, dtype=np.int64)
+    paths = np.asarray(columns.paths, dtype=np.uint64)
+    if depths.size == 0:
+        raise StorageError("page file holds no leaf pages")
+    if depths.size > 1 and (depths == 0).any():
+        raise StorageError("depth-0 leaf alongside other leaves: corrupt file")
+    if (depths > levels).any():
+        raise StorageError(f"leaf deeper than {levels} levels: corrupt file")
+    shifts = (depths * dim).astype(np.uint64)
+    wide = shifts >= 64  # a code at the path-encoding limit needs 65 bits
+    if np.where(wide, 0, paths >> shifts % np.uint64(64)).any():
+        raise StorageError("leaf page path runs past its depth: corrupt file")
+    if depths.size > 1 or depths[0]:
+        mask = (1 << dim) - 1
+        first = np.zeros(depths.size, dtype=np.uint64)
+        for level in range(int(depths.max())):
+            first |= (paths >> np.uint64(level * dim) & np.uint64(mask)) \
+                << np.uint64((levels - 1 - level) * dim)
+        spans = np.uint64(1) << ((levels - depths) * dim).astype(np.uint64)
+        last = first + (spans - np.uint64(1))
+        order = np.lexsort((depths, first))
+        first, last, ranked = first[order], last[order], depths[order]
+        nested = first[1:] <= last[:-1]
+        same = nested & (ranked[1:] == ranked[:-1])
+        if same.any():
+            raise StorageError(
+                "two pages claim the same block at depth "
+                f"{int(ranked[1:][same][0])}"
+            )
+        if nested.any():
+            raise StorageError("leaf page shadows a deeper page: corrupt file")
+        end = 1 << levels * dim
+        gaps = np.flatnonzero(first[1:] != last[:-1] + np.uint64(1))
+        if first[0]:
+            start, stop = 0, int(first[0])
+        elif gaps.size:
+            start, stop = int(last[gaps[0]]) + 1, int(first[gaps[0] + 1])
+        else:
+            start, stop = int(last[-1]) + 1, end
+        if start < end:
+            raise StorageError(
+                f"missing leaf page: cells [{start}, {stop}) of the "
+                f"{levels}-level grid are uncovered"
+            )
+    codes = (paths | np.uint64(1) << shifts % np.uint64(64)).tolist()
+    for i in np.flatnonzero(wide):
+        codes[i] = int(paths[i]) | 1 << 64
+    return dict(zip(codes, np.asarray(columns.page_ids).tolist()))
 
 
 def required_page_size(capacity: int, dim: int) -> int:
@@ -156,17 +230,22 @@ class PagedPRQuadtree:
         capacity: int,
         bounds: Rect,
         max_depth: Optional[int],
-        root: _PNode,
+        leaves: Dict[int, int],
         size: int,
     ):
         self._file = pagefile
         self._pool = pool
         self._capacity = capacity
         self._bounds = bounds
+        self._dim = bounds.dim
         self._max_depth = max_depth
-        self._root = root
+        #: location code -> page id, one entry per leaf
+        self._leaves = leaves
         self._size = size
         self._point_struct = struct.Struct(f"<{bounds.dim}d")
+        #: per quadrant index, its bit on each axis (1: the high half)
+        self._quadrants = [[q >> axis & 1 for axis in range(bounds.dim)]
+                           for q in range(1 << bounds.dim)]
         self._splits = 0
         self._merges = 0
         self._max_depth_seen = 0
@@ -193,14 +272,8 @@ class PagedPRQuadtree:
         )
         pagefile = PageFile.create(path, page_size=page_size, meta=meta)
         pool = BufferPool(pagefile, capacity=pool_pages, policy=policy)
-        root_pid = pool.allocate()
-        tree = cls(
-            pagefile, pool, capacity, bounds, max_depth,
-            _PLeaf(bounds, 0, 0, root_pid), 0,
-        )
-        page = tree._pool._frames[root_pid].page  # already pinned by allocate
-        page.insert(_LEAF_META.pack(0, 0))
-        pool.unpin(root_pid, dirty=True)
+        tree = cls(pagefile, pool, capacity, bounds, max_depth, {}, 0)
+        tree._leaves[1] = tree._new_leaf(0, 0)
         return tree
 
     @classmethod
@@ -222,34 +295,33 @@ class PagedPRQuadtree:
             raise
 
     @staticmethod
-    def _scan(pagefile: PageFile) -> Iterator[Tuple[int, int, int, int]]:
+    def _scan(pagefile: PageFile) -> List[LeafRow]:
         """``(depth, path, page_id, count)`` of every leaf page, read
         from the pages themselves."""
+        rows = []
         for pid, payload in pagefile.iter_data_pages():
             page = SlottedPage(bytearray(payload))
             try:
-                depth, path = _LEAF_META.unpack(page.get(0))
+                identity = _LEAF_META.unpack(page.get(0))
             except (KeyError, struct.error) as exc:
                 raise StorageError(
                     f"page {pid} has no leaf identity record"
                 ) from exc
-            yield depth, path, pid, page.record_count - 1
+            rows.append(identity + (pid, page.record_count - 1))
+        return rows
 
     @classmethod
     def _assemble(
         cls,
         pagefile: PageFile,
-        entries: Iterable[Tuple[int, int, int, int]],
+        entries: Union[_LeafColumns, Iterable[LeafRow]],
         pool_pages: int,
         policy: str,
     ) -> "PagedPRQuadtree":
-        """The tree over the published ``pagefile`` whose leaf pages
-        are ``entries`` — ``(depth, path, page_id, count)`` each, from
-        a page scan or from the bulk loader that wrote them.  Checks
-        the header's format, then that the leaves tile the root block:
-        no two on one block, none shadowing a deeper one, none missing.
-        Each directory block is derived once, from its parent's, so
-        this costs O(nodes)."""
+        """The tree over the published ``pagefile`` whose leaf pages are
+        ``entries``: ``(depth, path, page_id, count)`` rows from a page
+        scan, or the bulk loader's columns.  Checks the header's format,
+        then that the leaves tile the root block (:func:`_leaf_map`)."""
         meta = pagefile.meta
         if meta.get("format") != FORMAT_NAME:
             raise StorageError(
@@ -261,75 +333,18 @@ class PagedPRQuadtree:
                 f"unsupported {FORMAT_NAME} version {meta.get('version')!r}"
             )
         capacity = int(meta["capacity"])
-        dim = int(meta["dim"])
         bounds = Rect(
             Point(*meta["bounds"]["lo"]), Point(*meta["bounds"]["hi"])
         )
         max_depth = meta.get("max_depth")
         max_depth = None if max_depth is None else int(max_depth)
+        if not isinstance(entries, _LeafColumns):
+            table = np.array(list(entries), dtype=np.uint64).reshape(-1, 4)
+            entries = _LeafColumns(*table.T)
+        leaves = _leaf_map(entries, bounds)
+        size = int(np.asarray(entries.counts).sum())
         pool = BufferPool(pagefile, capacity=pool_pages, policy=policy)
-        root, size = cls._directory(list(entries), bounds, dim)
-        return cls(pagefile, pool, capacity, bounds, max_depth, root, size)
-
-    @classmethod
-    def _directory(
-        cls,
-        entries: List[Tuple[int, int, int, int]],
-        bounds: Rect,
-        dim: int,
-    ) -> Tuple[_PNode, int]:
-        if not entries:
-            raise StorageError("page file holds no leaf pages")
-        fanout = 1 << dim
-        size = sum(count for _, _, _, count in entries)
-        if len(entries) == 1 and entries[0][0] == 0:
-            _, _, pid, _ = entries[0]
-            return _PLeaf(bounds, 0, 0, pid), size
-        root = _PInternal(bounds, 0, [None] * fanout)  # type: ignore[list-item]
-        mask = fanout - 1
-        # shallower pages first, so a leaf is always placed before any
-        # page it could shadow; each node's rect is derived once, from
-        # its parent's, when the node is created
-        for depth, path, pid, _ in sorted(entries):
-            if depth == 0:
-                raise StorageError(
-                    "depth-0 leaf alongside other leaves: corrupt file"
-                )
-            node = root
-            for level in range(depth - 1):
-                idx = (path >> (level * dim)) & mask
-                child = node.children[idx]
-                if child is None:
-                    child = _PInternal(
-                        node.rect.child(idx), level + 1, [None] * fanout
-                    )  # type: ignore[list-item]
-                    node.children[idx] = child
-                elif isinstance(child, _PLeaf):
-                    raise StorageError(
-                        "leaf page shadows a deeper page: corrupt file"
-                    )
-                node = child
-            idx = (path >> ((depth - 1) * dim)) & mask
-            if node.children[idx] is not None:
-                raise StorageError(
-                    f"two pages claim the same block at depth {depth}"
-                )
-            node.children[idx] = _PLeaf(node.rect.child(idx), depth, path, pid)
-        cls._check_complete(root)
-        return root, size
-
-    @staticmethod
-    def _check_complete(root: _PInternal) -> None:
-        stack: List[_PNode] = [root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _PInternal):
-                for child in node.children:
-                    if child is None:
-                        raise StorageError(
-                            f"missing leaf page under block {node.rect!r}"
-                        )
-                    stack.append(child)
+        return cls(pagefile, pool, capacity, bounds, max_depth, leaves, size)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -348,12 +363,12 @@ class PagedPRQuadtree:
     @property
     def dim(self) -> int:
         """Dimensionality of the space."""
-        return self._bounds.dim
+        return self._dim
 
     @property
     def fanout(self) -> int:
         """Children per split: ``2^dim``."""
-        return 1 << self._bounds.dim
+        return 1 << self._dim
 
     @property
     def max_depth(self) -> Optional[int]:
@@ -392,57 +407,107 @@ class PagedPRQuadtree:
         return self.contains(p)
 
     # ------------------------------------------------------------------
+    # directory plumbing
+    # ------------------------------------------------------------------
+
+    def _depth_path(self, code: int) -> Tuple[int, int]:
+        """The ``(depth, path)`` a location code stands for."""
+        sentinel = code.bit_length() - 1
+        return sentinel // self._dim, code ^ 1 << sentinel
+
+    def _descend(
+        self, coords: Coords, chain: Optional[List[int]] = None
+    ) -> Tuple[int, List[float], List[float]]:
+        """``(code, lo, hi)`` of the leaf block holding ``coords``, a
+        point inside the root block; the code of every internal block
+        passed on the way goes onto ``chain``."""
+        leaves = self._leaves
+        lo, hi = list(self._bounds.lo.coords), list(self._bounds.hi.coords)
+        dim = len(lo)
+        code = bit = 1
+        while code not in leaves:
+            if chain is not None:
+                chain.append(code)
+            quadrant = 0
+            for axis, x in enumerate(coords):
+                mid = (lo[axis] + hi[axis]) / 2.0
+                if x >= mid:
+                    quadrant |= 1 << axis
+                    lo[axis] = mid
+                else:
+                    hi[axis] = mid
+            # child q of a code with sentinel bit b: code + (q + 2^dim - 1)·b
+            code += (quadrant + (1 << dim) - 1) * bit
+            bit <<= dim
+        return code, lo, hi
+
+    def _children(self, code: int) -> range:
+        """The codes of block ``code``'s children, by quadrant index."""
+        bit, fanout = 1 << code.bit_length() - 1, 1 << self._dim
+        first = code + (fanout - 1) * bit
+        return range(first, first + fanout * bit, bit)
+
+    def _subtree_leaves(self, code: int) -> Iterator[Tuple[int, int]]:
+        """``(code, page_id)`` of every leaf in the block ``code``,
+        depth first, the last child popped first."""
+        stack = [code]
+        while stack:
+            code = stack.pop()
+            pid = self._leaves.get(code)
+            if pid is not None:
+                yield code, pid
+            else:
+                stack.extend(self._children(code))
+
+    def _at_depth_limit(
+        self, code: int, lo: Sequence[float], hi: Sequence[float]
+    ) -> bool:
+        """Pin block ``code`` ``[lo, hi)`` at the explicit limit, at
+        path-encoding exhaustion, or when float precision makes it too
+        thin to halve — ``PRQuadtree._at_depth_limit`` plus the encoding
+        bound (a block 32+ levels deep in 2-d is that thin anyway)."""
+        depth = self._depth_path(code)[0]
+        if self._max_depth is not None and depth >= self._max_depth:
+            return True
+        if depth >= 64 // self._dim:  # the u64 path is full
+            return True
+        return not all(a < (a + b) / 2.0 < b for a, b in zip(lo, hi))
+
+    # ------------------------------------------------------------------
     # page plumbing
     # ------------------------------------------------------------------
 
-    @property
-    def _path_depth_limit(self) -> int:
-        # the u64 path field stores `dim` bits per level
-        return 64 // self._bounds.dim
+    def _leaf_coords(self, pid: int) -> List[Coords]:
+        """Decode every point on a leaf page (unpinned on return)."""
+        unpack = self._point_struct.unpack
+        with self._pool.pinned_page(pid) as page:
+            return [unpack(record) for slot, record in page.records() if slot]
 
-    def _at_depth_limit(self, leaf: _PLeaf) -> bool:
-        """Pin at the explicit limit, at path-encoding exhaustion, or
-        when float precision makes the block too thin to halve —
-        mirroring ``PRQuadtree._at_depth_limit`` plus the encoding
-        bound (a leaf 32+ levels deep in 2-d has a block thinner than
-        a double's mantissa anyway)."""
-        if self._max_depth is not None and leaf.depth >= self._max_depth:
-            return True
-        if leaf.depth >= self._path_depth_limit:
-            return True
-        return not leaf.rect.is_splittable
+    def _slot_of(self, page: SlottedPage, coords: Coords) -> Optional[int]:
+        """The slot holding the point ``coords`` on a leaf page, if any."""
+        unpack = self._point_struct.unpack
+        return next((
+            slot_id for slot_id, record in page.records()
+            if slot_id and unpack(record) == coords
+        ), None)
 
-    def _leaf_points(self, leaf: _PLeaf) -> List[Point]:
-        """Decode every point on the leaf's page (unpinned on return)."""
-        with self._pool.pinned_page(leaf.page_id) as page:
-            return [
-                Point(*self._point_struct.unpack(record))
-                for slot_id, record in page.records()
-                if slot_id != 0
-            ]
-
-    def _leaf_slots(self, page: SlottedPage) -> Iterator[Tuple[int, Point]]:
-        for slot_id, record in page.records():
-            if slot_id != 0:
-                yield slot_id, Point(*self._point_struct.unpack(record))
-
-    def _leaf_occupancy(self, leaf: _PLeaf) -> int:
-        with self._pool.pinned_page(leaf.page_id) as page:
+    def _leaf_occupancy(self, pid: int) -> int:
+        with self._pool.pinned_page(pid) as page:
             return page.record_count - 1
 
-    def _new_leaf(self, rect: Rect, depth: int, path: int) -> _PLeaf:
+    def _new_leaf(self, depth: int, path: int) -> int:
         pid = self._pool.allocate()
         try:
-            page = self._pool._frames[pid].page
-            page.insert(_LEAF_META.pack(depth, path))
+            self._pool._frames[pid].page.insert(_LEAF_META.pack(depth, path))
         finally:
             self._pool.unpin(pid, dirty=True)
-        return _PLeaf(rect, depth, path, pid)
+        return pid
 
-    def _write_points(self, leaf: _PLeaf, points: Iterable[Point]) -> None:
-        with self._pool.pinned_page(leaf.page_id, dirty=True) as page:
-            for p in points:
-                page.insert(self._point_struct.pack(*p.coords))
+    def _write_points(self, pid: int, points: Iterable[Coords]) -> None:
+        pack = self._point_struct.pack
+        with self._pool.pinned_page(pid, dirty=True) as page:
+            for coords in points:
+                page.insert(pack(*coords))
 
     # ------------------------------------------------------------------
     # dynamic operations
@@ -453,171 +518,106 @@ class PagedPRQuadtree:
         distinct points).  Raises ``ValueError`` outside the bounds."""
         if not self._bounds.contains_point(p):
             raise ValueError(f"{p!r} outside tree bounds {self._bounds!r}")
-        parent: Optional[_PInternal] = None
-        node = self._root
-        while isinstance(node, _PInternal):
-            parent = node
-            node = node.children[node.rect.quadrant_index(p)]
-        overflow = False
-        with self._pool.pinned_page(node.page_id) as page:
-            for _, stored in self._leaf_slots(page):
-                if stored == p:
-                    return False
-            page.insert(self._point_struct.pack(*p.coords))
-            self._pool._frames[node.page_id].dirty = True
+        coords = p.coords
+        code, lo, hi = self._descend(coords)
+        pid = self._leaves[code]
+        with self._pool.pinned_page(pid) as page:
+            if self._slot_of(page, coords) is not None:
+                return False
+            page.insert(self._point_struct.pack(*coords))
+            self._pool._frames[pid].dirty = True
             overflow = page.record_count - 1 > self._capacity
         self._size += 1
-        if overflow and not self._at_depth_limit(node):
-            self._split(node, parent)
+        if overflow and not self._at_depth_limit(code, lo, hi):
+            self._split(code, lo, hi)
         return True
 
     def insert_many(self, points: Iterable[Point]) -> int:
         """Insert points in order; returns how many were new."""
-        inserted = 0
-        for p in points:
-            if self.insert(p):
-                inserted += 1
-        return inserted
+        return sum(1 for p in points if self.insert(p))
 
     def contains(self, p: Point) -> bool:
         """Exact-match lookup."""
         if not self._bounds.contains_point(p):
             return False
-        node = self._root
-        while isinstance(node, _PInternal):
-            node = node.children[node.rect.quadrant_index(p)]
-        return p in self._leaf_points(node)
+        code, _, _ = self._descend(p.coords)
+        return p.coords in self._leaf_coords(self._leaves[code])
 
     def delete(self, p: Point) -> bool:
         """Remove a point; merges under-full subtrees back into one
         page, exactly like the in-memory tree."""
         if not self._bounds.contains_point(p):
             return False
-        path: List[_PInternal] = []
-        node = self._root
-        while isinstance(node, _PInternal):
-            path.append(node)
-            node = node.children[node.rect.quadrant_index(p)]
-        removed = False
-        with self._pool.pinned_page(node.page_id) as page:
-            for slot_id, stored in self._leaf_slots(page):
-                if stored == p:
-                    page.delete(slot_id)
-                    self._pool._frames[node.page_id].dirty = True
-                    removed = True
-                    break
-        if not removed:
-            return False
+        coords = p.coords
+        chain: List[int] = []
+        pid = self._leaves[self._descend(coords, chain)[0]]
+        with self._pool.pinned_page(pid) as page:
+            slot_id = self._slot_of(page, coords)
+            if slot_id is None:
+                return False
+            page.delete(slot_id)
+            self._pool._frames[pid].dirty = True
         self._size -= 1
-        self._merge_path(path)
+        self._merge_path(chain)
         return True
 
-    def _split(self, leaf: _PLeaf, parent: Optional[_PInternal]) -> None:
+    def _split(self, code: int, lo: List[float], hi: List[float]) -> None:
         """Split an over-full bucket page into ``2^dim`` child pages,
         recursing while a child overflows (the paper's ``P_{m+1}``
         recursion).  The parent's page returns to the free list."""
-        dim = self._bounds.dim
-        pending: List[Tuple[_PLeaf, Optional[_PInternal]]] = [(leaf, parent)]
+        leaves = self._leaves
+        pending = [(code, lo, hi)]
         while pending:
-            cur, cur_parent = pending.pop()
-            points = self._leaf_points(cur)
-            self._pool.free(cur.page_id)
-            buckets: List[List[Point]] = [[] for _ in range(self.fanout)]
-            for p in points:
-                buckets[cur.rect.quadrant_index(p)].append(p)
-            children: List[_PNode] = []
-            for i in range(self.fanout):
-                child = self._new_leaf(
-                    cur.rect.child(i),
-                    cur.depth + 1,
-                    cur.path | (i << (cur.depth * dim)),
-                )
-                if buckets[i]:
-                    self._write_points(child, buckets[i])
-                children.append(child)
-            node = _PInternal(cur.rect, cur.depth, children)
-            self._replace(cur, node, cur_parent)
+            code, lo, hi = pending.pop()
+            pid = leaves.pop(code)
+            points = self._leaf_coords(pid)
+            self._pool.free(pid)
+            mid = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+            buckets: List[List[Coords]] = [[] for _ in range(self.fanout)]
+            for coords in points:
+                buckets[sum(
+                    1 << i for i, x in enumerate(coords) if x >= mid[i]
+                )].append(coords)
+            children = self._children(code)
+            for child, bucket in zip(children, buckets):
+                leaves[child] = self._new_leaf(*self._depth_path(child))
+                if bucket:
+                    self._write_points(leaves[child], bucket)
             self._splits += 1
             obs.count("storage.tree.split")
-            if cur.depth + 1 > self._max_depth_seen:
-                self._max_depth_seen = cur.depth + 1
-            for i, child in enumerate(children):
-                assert isinstance(child, _PLeaf)
-                if len(buckets[i]) > self._capacity \
-                        and not self._at_depth_limit(child):
-                    pending.append((child, node))
+            depth = self._depth_path(children[0])[0]
+            self._max_depth_seen = max(self._max_depth_seen, depth)
+            for child, bucket, bits in zip(children, buckets, self._quadrants):
+                if len(bucket) > self._capacity:
+                    child_lo, child_hi = _child(lo, hi, mid, bits)
+                    if not self._at_depth_limit(child, child_lo, child_hi):
+                        pending.append((child, child_lo, child_hi))
 
-    def _merge_path(self, path: List[_PInternal]) -> None:
+    def _merge_path(self, chain: List[int]) -> None:
         """Collapse mergeable ancestors, deepest first (same rule as
         ``PRQuadtree``: a subtree holding <= capacity points becomes
         one leaf — one page)."""
-        for i in range(len(path) - 1, -1, -1):
-            ancestor = path[i]
-            if self._subtree_occupancy(ancestor) > self._capacity:
+        for code in reversed(chain):
+            under = self._subtree_leaves(code)
+            if sum(self._leaf_occupancy(p) for _, p in under) > self._capacity:
                 break
-            points = self._collect_and_free(ancestor)
-            merged = self._new_leaf(
-                ancestor.rect, ancestor.depth, self._path_of(ancestor, path, i)
-            )
+            points = self._collect_and_free(code)
+            merged = self._new_leaf(*self._depth_path(code))
             if points:
                 self._write_points(merged, points)
-            self._replace(ancestor, merged, path[i - 1] if i > 0 else None)
+            self._leaves[code] = merged
             self._merges += 1
             obs.count("storage.tree.merge")
 
-    def _path_of(
-        self, node: _PInternal, chain: List[_PInternal], index: int
-    ) -> int:
-        """Reconstruct the quadrant path of an internal node from the
-        root-to-leaf chain (child index at each ancestor)."""
-        dim = self._bounds.dim
-        path = 0
-        for level in range(index):
-            parent = chain[level]
-            child = chain[level + 1] if level + 1 <= index - 1 else node
-            idx = parent.children.index(child)
-            path |= idx << (level * dim)
-        return path
-
-    def _collect_and_free(self, node: _PNode) -> List[Point]:
-        """Gather every point under ``node`` and free its leaf pages."""
-        points: List[Point] = []
-        stack: List[_PNode] = [node]
-        while stack:
-            cur = stack.pop()
-            if isinstance(cur, _PLeaf):
-                points.extend(self._leaf_points(cur))
-                self._pool.free(cur.page_id)
-            else:
-                stack.extend(cur.children)
+    def _collect_and_free(self, code: int) -> List[Coords]:
+        """Gather every point in the block ``code`` and free its leaf
+        pages, dropping them from the directory."""
+        points: List[Coords] = []
+        for leaf, pid in self._subtree_leaves(code):
+            points.extend(self._leaf_coords(pid))
+            self._pool.free(pid)
+            del self._leaves[leaf]
         return points
-
-    def _subtree_occupancy(self, node: _PNode) -> int:
-        total = 0
-        stack: List[_PNode] = [node]
-        while stack:
-            cur = stack.pop()
-            if isinstance(cur, _PLeaf):
-                total += self._leaf_occupancy(cur)
-            else:
-                stack.extend(cur.children)
-        return total
-
-    def _replace(
-        self, old: _PNode, new: _PNode, parent: Optional[_PInternal]
-    ) -> None:
-        if parent is None:
-            if old is not self._root:  # pragma: no cover - invariant
-                raise AssertionError("parentless node is not the root")
-            self._root = new
-            return
-        for i, child in enumerate(parent.children):
-            if child is old:
-                parent.children[i] = new
-                return
-        raise AssertionError(
-            "parent does not own the node to replace"
-        )  # pragma: no cover
 
     # ------------------------------------------------------------------
     # queries
@@ -629,19 +629,40 @@ class PagedPRQuadtree:
             raise ValueError(
                 f"query dimension {query.dim} != tree dim {self.dim}"
             )
+        q_lo, q_hi = query.lo.coords, query.hi.coords
+        lo, hi = list(self._bounds.lo.coords), list(self._bounds.hi.coords)
         out: List[Point] = []
-        stack: List[_PNode] = [self._root]
+        # stacked blocks meet the query; those without corners lie inside
+        meets = all(a < y and x < b for a, b, x, y in zip(lo, hi, q_lo, q_hi))
+        stack = [(1, lo, hi)] if meets else []
         while stack:
-            node = stack.pop()
-            if not node.rect.intersects(query):
+            code, lo, hi = stack.pop()
+            if lo is None:
+                for _, pid in self._subtree_leaves(code):
+                    out.extend(map(Point._trusted, self._leaf_coords(pid)))
                 continue
-            if isinstance(node, _PLeaf):
+            pid = self._leaves.get(code)
+            if pid is not None:
                 out.extend(
-                    p for p in self._leaf_points(node)
-                    if query.contains_point(p)
+                    Point._trusted(c) for c in self._leaf_coords(pid)
+                    if all(x <= v < y for x, v, y in zip(q_lo, c, q_hi))
                 )
-            else:
-                stack.extend(node.children)
+                continue
+            mid = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+            # per axis, how the half [lo, mid) and the half [mid, hi)
+            # lie: 0 apart from the query, 1 meeting it, 2 inside it
+            halves = (
+                [(x < m) + (x <= a and m <= y)
+                 for a, m, x, y in zip(lo, mid, q_lo, q_hi)],
+                [(m < y) + (x <= m and b <= y)
+                 for m, b, x, y in zip(mid, hi, q_lo, q_hi)],
+            )
+            for child, bits in zip(self._children(code), self._quadrants):
+                part = min([halves[b][axis] for axis, b in enumerate(bits)])
+                if part == 2:
+                    stack.append((child, None, None))
+                elif part:
+                    stack.append((child,) + _child(lo, hi, mid, bits))
         return out
 
     def nearest(self, q: Point, k: int = 1) -> List[Point]:
@@ -654,41 +675,48 @@ class PagedPRQuadtree:
             raise ValueError(
                 f"query dimension {q.dim} != tree dim {self.dim}"
             )
-        frontier: List[Tuple[float, int, _PNode]] = []
+        qc = q.coords
+        # a child's corners are derived from its parent's when popped
+        root = (self._bounds.lo.coords, self._bounds.hi.coords, None)
+        frontier: List[Tuple[Any, ...]] = [(0.0, 0, 1) + root]
         tie = 0
-        heapq.heappush(frontier, (0.0, tie, self._root))
-        best: List[Tuple[float, Tuple[float, ...], Point]] = []
+        best: List[Tuple[float, Coords, Coords]] = []
         while frontier:
-            block_dist, _, node = heapq.heappop(frontier)
+            block_dist, _, code, lo, hi, bits = heapq.heappop(frontier)
             if len(best) == k and block_dist > -best[0][0]:
                 break
-            if isinstance(node, _PLeaf):
-                for p in self._leaf_points(node):
-                    key = (-p.distance_to(q), tuple(-c for c in p.coords))
+            pid = self._leaves.get(code)
+            if pid is not None:
+                for c in self._leaf_coords(pid):
+                    d = math.sqrt(sum((a - b) ** 2 for a, b in zip(c, qc)))
+                    key = (-d, tuple(-v for v in c))
                     if len(best) < k:
-                        heapq.heappush(best, key + (p,))
+                        heapq.heappush(best, key + (c,))
                     elif key > (best[0][0], best[0][1]):
-                        heapq.heapreplace(best, key + (p,))
-            else:
-                for child in node.children:
-                    tie += 1
-                    heapq.heappush(
-                        frontier,
-                        (child.rect.distance_to_point(q), tie, child),
-                    )
-        return [
-            p for _, _, p in sorted(best, key=lambda t: (-t[0], t[2].coords))
-        ]
+                        heapq.heapreplace(best, key + (c,))
+                continue
+            if bits is not None:
+                lo, hi = _child(
+                    lo, hi, [(a + b) / 2.0 for a, b in zip(lo, hi)], bits
+                )
+            # per axis, q's squared distance to the low and the high half
+            near = [
+                ((min(max(c, a), m) - c) ** 2, (min(max(c, m), b) - c) ** 2)
+                for a, b, c in zip(lo, hi, qc) for m in [(a + b) / 2.0]
+            ]
+            for child, bits in zip(self._children(code), self._quadrants):
+                tie += 1
+                distance = math.sqrt(
+                    sum([near[axis][b] for axis, b in enumerate(bits)])
+                )
+                heapq.heappush(frontier, (distance, tie, child, lo, hi, bits))
+        best.sort(key=lambda t: (-t[0], t[2]))
+        return [Point._trusted(c) for _, _, c in best]
 
     def points(self) -> Iterator[Point]:
         """Iterate over all stored points (block order)."""
-        stack: List[_PNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _PLeaf):
-                yield from self._leaf_points(node)
-            else:
-                stack.extend(node.children)
+        for _, pid in self._subtree_leaves(1):
+            yield from map(Point._trusted, self._leaf_coords(pid))
 
     # ------------------------------------------------------------------
     # measurement
@@ -696,124 +724,86 @@ class PagedPRQuadtree:
 
     def leaves(self) -> Iterator[Tuple[Rect, int, int]]:
         """Yield ``(block, depth, occupancy)`` for every leaf page."""
-        stack: List[_PNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _PLeaf):
-                yield (node.rect, node.depth, self._leaf_occupancy(node))
-            else:
-                stack.extend(node.children)
+        for code, pid in self._subtree_leaves(1):
+            depth, path = self._depth_path(code)
+            yield _block(self._bounds, depth, path), depth, \
+                self._leaf_occupancy(pid)
 
     def leaf_count(self) -> int:
         """Number of leaf pages (= bucket pages in the file)."""
-        count = 0
-        stack: List[_PNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _PLeaf):
-                count += 1
-            else:
-                stack.extend(node.children)
-        return count
+        return len(self._leaves)
 
     def node_count(self) -> int:
-        """Total directory nodes, internal and leaf."""
-        count = 0
-        stack: List[_PNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if isinstance(node, _PInternal):
-                stack.extend(node.children)
-        return count
+        """Total directory nodes: ``L`` leaves and ``(L - 1) / (2^dim -
+        1)`` internal ones, each with ``2^dim`` children."""
+        return len(self._leaves) + (len(self._leaves) - 1) // (self.fanout - 1)
 
     def height(self) -> int:
-        """Depth of the deepest leaf."""
-        best = 0
-        stack: List[_PNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _PLeaf):
-                best = max(best, node.depth)
-            else:
-                stack.extend(node.children)
-        return best
+        """Depth of the deepest leaf (a deeper code is a larger one)."""
+        return self._depth_path(max(self._leaves))[0]
+
+    def _census(self, clamp_overflow: bool) -> List[Tuple[int, int]]:
+        """``(depth, occupancy)`` per leaf, in directory order."""
+        pairs = [
+            (self._depth_path(code)[0], self._leaf_occupancy(pid))
+            for code, pid in self._leaves.items()
+        ]
+        fullest = max(occ for _, occ in pairs)
+        if fullest > self._capacity and not clamp_overflow:
+            raise ValueError(
+                f"leaf occupancy {fullest} exceeds capacity {self._capacity}"
+            )
+        return [(depth, min(occ, self._capacity)) for depth, occ in pairs]
 
     def occupancy_census(self, clamp_overflow: bool = True) -> OccupancyCensus:
         """Census of bucket pages by occupancy — bit-identical to the
         in-memory tree's census on the same insertion stream."""
-        occupancies = []
-        for _, _, occ in self.leaves():
-            if occ > self._capacity:
-                if not clamp_overflow:
-                    raise ValueError(
-                        f"leaf occupancy {occ} exceeds capacity "
-                        f"{self._capacity}"
-                    )
-                occ = self._capacity
-            occupancies.append(occ)
-        return OccupancyCensus.from_occupancies(occupancies, self._capacity)
+        return OccupancyCensus.from_occupancies(
+            [occ for _, occ in self._census(clamp_overflow)], self._capacity
+        )
 
     def depth_census(self, clamp_overflow: bool = True) -> DepthCensus:
         """Census of bucket pages by (depth, occupancy)."""
-        pairs = []
-        for _, depth, occ in self.leaves():
-            if occ > self._capacity:
-                if not clamp_overflow:
-                    raise ValueError(
-                        f"leaf occupancy {occ} exceeds capacity "
-                        f"{self._capacity}"
-                    )
-                occ = self._capacity
-            pairs.append((depth, occ))
-        return DepthCensus.from_leaves(pairs, self._capacity)
+        return DepthCensus.from_leaves(
+            self._census(clamp_overflow), self._capacity
+        )
 
     def validate(self) -> None:
-        """Structural invariants, including the page-level ones:
-        every leaf's stored identity matches its directory position,
-        and the file's live page count equals the leaf count."""
+        """Structural invariants, including the page-level ones: the
+        directory is the one a reopen builds, every leaf's stored
+        identity matches its code, and the file's live page count equals
+        the leaf count."""
+        rows = [self._depth_path(c) + (p, 0) for c, p in self._leaves.items()]
+        table = np.array(rows, dtype=np.uint64).reshape(-1, 4)
+        assert _leaf_map(_LeafColumns(*table.T), self._bounds) \
+            == self._leaves, "directory codes differ from a rebuilt map"
+        dim = self._dim
         total = 0
-        leaves = 0
-        stack: List[_PNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _PLeaf):
-                leaves += 1
-                with self._pool.pinned_page(node.page_id) as page:
-                    depth, path = _LEAF_META.unpack(page.get(0))
-                    points = [p for _, p in self._leaf_slots(page)]
-                assert depth == node.depth, (
-                    f"page {node.page_id} stores depth {depth}, "
-                    f"directory says {node.depth}"
-                )
-                assert path == node.path, (
-                    f"page {node.page_id} stores path {path:#x}, "
-                    f"directory says {node.path:#x}"
-                )
-                total += len(points)
-                for p in points:
-                    assert node.rect.contains_point(p), (
-                        f"point {p!r} outside its block {node.rect!r}"
-                    )
-                assert len(set(points)) == len(points), (
-                    "duplicate points in a bucket page"
-                )
-                if len(points) > self._capacity:
-                    assert self._at_depth_limit(node), (
-                        f"unpinned bucket over capacity: {len(points)}"
-                    )
-            else:
-                assert node.children[0].depth == node.depth + 1
-                expected = node.rect.split()
-                got = [c.rect for c in node.children]
-                assert got == expected, "children do not tile the parent"
-                assert self._subtree_occupancy(node) > self._capacity, (
-                    "internal node should have merged into one page"
-                )
-                stack.extend(node.children)
+        under: Dict[int, int] = {}  # points per internal block
+        for depth, path, pid, _ in rows:
+            with self._pool.pinned_page(pid) as page:
+                stored = _LEAF_META.unpack(page.get(0))
+            assert stored == (depth, path), \
+                f"page {pid} stores {stored}, directory says {(depth, path)}"
+            points = [Point._trusted(c) for c in self._leaf_coords(pid)]
+            block = _block(self._bounds, depth, path)
+            assert all(map(block.contains_point, points)), (
+                f"a point on page {pid} is outside its block {block!r}"
+            )
+            assert len(set(points)) == len(points), "duplicate bucket points"
+            assert len(points) <= self._capacity or self._at_depth_limit(
+                path | 1 << depth * dim, block.lo.coords, block.hi.coords
+            ), f"unpinned bucket over capacity: {len(points)}"
+            total += len(points)
+            for level in range(depth):
+                ancestor = path & (1 << level * dim) - 1 | 1 << level * dim
+                under[ancestor] = under.get(ancestor, 0) + len(points)
+        assert all(count > self._capacity for count in under.values()), (
+            "internal node should have merged into one page"
+        )
         assert total == self._size, f"size {self._size} != counted {total}"
-        assert leaves == self._file.data_page_count, (
-            f"{leaves} leaves but {self._file.data_page_count} data pages"
+        assert len(rows) == self._file.data_page_count, (
+            f"{len(rows)} leaves but {self._file.data_page_count} data pages"
         )
 
     # ------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from repro.geometry import Point, Rect
 from repro.storage import PagedPRQuadtree, PageFile, bulk_load_paged
 from repro.storage.pagefile import StorageError
-from repro.storage.paged_tree import _PInternal
 from repro.workloads import GaussianPoints, UniformPoints
 
 SKEW = Rect(Point(-3.3, 0.7), Point(11.1, 2.9))
@@ -28,21 +27,12 @@ CASES = {
 
 
 def _nodes(tree):
-    """Every directory node in depth-first order: ``(kind, lo, hi,
-    depth, path, page_id)``; internal nodes carry no path or page."""
-    out = []
-    stack = [tree._root]
-    while stack:
-        node = stack.pop()
-        rect = (node.rect.lo.coords, node.rect.hi.coords)
-        if isinstance(node, _PInternal):
-            out.append(("internal",) + rect + (node.depth, None, None))
-            stack.extend(reversed(node.children))
-        else:
-            out.append(
-                ("leaf",) + rect + (node.depth, node.path, node.page_id)
-            )
-    return out
+    """The directory — ``(location code, page_id)`` per leaf, by code —
+    and every leaf's ``(lo, hi, depth)`` block, depth first."""
+    return sorted(tree._leaves.items()), [
+        (rect.lo.coords, rect.hi.coords, depth)
+        for rect, depth, _ in tree.leaves()
+    ]
 
 
 def _points(case):
@@ -99,9 +89,9 @@ def test_empty_load_is_one_root_leaf(tmp_path, monkeypatch):
     reads = _count_reads(monkeypatch)
     with bulk_load_paged(tmp_path / "e.pf", [], capacity=4) as tree:
         assert reads == []
-        assert _nodes(tree) == [
-            ("leaf", (0.0, 0.0), (1.0, 1.0), 0, 0, 0)
-        ]
+        assert _nodes(tree) == (
+            [(1, 0)], [((0.0, 0.0), (1.0, 1.0), 0)]
+        )
         assert len(tree) == 0
 
 

@@ -34,15 +34,18 @@ def test_server_import_leaves_heavy_scipy_unloaded():
 HEAVY = ("scipy", "repro.experiments", "repro.runtime", "repro.bench")
 
 
-def _fresh(code):
-    """Run ``code`` in a new interpreter over this source tree; its
+def _fresh(code, *args, no_db_env=True):
+    """Run ``code`` with ``args`` in a new interpreter over this source
+    tree (with ``REPRO_NO_DB`` set unless ``no_db_env`` is false); its
     stdout, stripped."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_NO_DB"] = "1"
+    env.pop("REPRO_NO_DB", None)
+    if no_db_env:
+        env["REPRO_NO_DB"] = "1"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True,
         text=True, check=True,
     )
     return result.stdout.strip()
@@ -71,6 +74,48 @@ def test_serve_help_loads_no_paper_toolkit():
     usage, loaded = _fresh(code).rsplit("---", 1)
     assert "start" in usage
     assert loaded.strip() == "[]"
+
+
+#: The model modules the drift monitor samples, and the ones it must
+#: not load.
+SERVED_CORE = ("repro.core.fagin", "repro.core.planning")
+UNSERVED_CORE = (
+    "repro.core.aging", "repro.core.density_model", "repro.core.phasing",
+    "repro.core.pmr_model", "repro.core.sensitivity",
+)
+
+_SERVED_MODULES = (
+    "print(sorted(m for m in sys.modules if m == 'repro.rundb' "
+    f"or m in {SERVED_CORE + UNSERVED_CORE!r}))\n"
+)
+
+
+def test_monitor_loads_only_the_model_it_samples():
+    code = "import sys, repro.service.monitor\n" + _SERVED_MODULES
+    assert _fresh(code) == repr(sorted(SERVED_CORE))
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["no-db", "env"])
+def test_serve_start_without_db_loads_no_run_database(tmp_path, flag):
+    # start the server on a fresh file, shut it down once it listens,
+    # then list what the start loaded
+    code = (
+        "import sys\n"
+        "from repro.service import cli, server\n"
+        "start = server.SpatialIndexServer.start\n"
+        "async def start_then_stop(self):\n"
+        "    await start(self)\n"
+        "    self.request_shutdown()\n"
+        "server.SpatialIndexServer.start = start_then_stop\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print('---')\n" + _SERVED_MODULES
+    )
+    args = ["start", str(tmp_path / "s.pf"), "--port", "0", "--no-trace"]
+    if flag:
+        args.append("--no-db")
+    out = _fresh(code, *args, no_db_env=not flag)
+    assert "serving" in out
+    assert out.rsplit("---", 1)[1].strip() == repr(sorted(SERVED_CORE))
 
 
 def test_model_functions_import_gammaln_on_first_use():

@@ -1,9 +1,7 @@
 """Unit tests for repro.runtime.metrics."""
 
-import time
-
 from repro.runtime import MetricsCollector, RunReport
-from repro.runtime.metrics import ChunkMetric, Stopwatch
+from repro.runtime.metrics import ChunkMetric
 
 
 class TestCollector:
@@ -75,10 +73,3 @@ class TestRunReport:
 
     def test_summary_with_no_chunks(self):
         assert "none" in RunReport().summary()
-
-
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        with Stopwatch() as watch:
-            time.sleep(0.01)
-        assert watch.elapsed >= 0.01

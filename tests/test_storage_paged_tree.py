@@ -223,12 +223,13 @@ class TestOpen:
             leaves = reopened.leaf_count()
             internal, rest = divmod(leaves - 1, (1 << dim) - 1)
             assert rest == 0
-            # one Rect.child per non-root node, none per leaf path step
-            assert len(calls) == leaves + internal - 1
             assert reopened.node_count() == leaves + internal
+            assert reopened.occupancy_census() == census
+            # the directory maps location codes to pages: neither the
+            # reopen nor a census derives a block for any node
+            assert calls == []
             monkeypatch.undo()
             reopened.validate()
-            assert reopened.occupancy_census() == census
 
     @pytest.mark.parametrize(
         "leaves, message",
@@ -244,6 +245,88 @@ class TestOpen:
         _write_leaf_pages(path, leaves)
         with pytest.raises(StorageError, match=message):
             PagedPRQuadtree.open(path)
+
+    @pytest.mark.parametrize(
+        "leaves, message",
+        [
+            ([(1, 0), (1, 1), (1, 2), (1, 3 | 1 << 8)], "past its depth"),
+            ([(33, 0)], "deeper than 32 levels"),
+        ],
+    )
+    def test_unencodable_identity_refused(self, tmp_path, leaves, message):
+        path = tmp_path / "bad.pf"
+        _write_leaf_pages(path, leaves)
+        with pytest.raises(StorageError, match=message):
+            PagedPRQuadtree.open(path)
+
+    def test_reopen_adds_few_gc_tracked_objects(self, tmp_path):
+        import gc
+
+        from repro.storage import bulk_load_paged
+
+        path = tmp_path / "g.pf"
+        points = UniformPoints(seed=3).generate_array(4000)
+        bulk_load_paged(path, points, capacity=2).close()
+        gc.collect()
+        before = len(gc.get_objects())
+        with PagedPRQuadtree.open(path) as reopened:
+            added = len(gc.get_objects()) - before
+            leaves = reopened.leaf_count()
+        # the directory is a dict of ints, which the collector skips
+        assert leaves > 2000
+        assert added * 10 <= leaves, (added, leaves)
+
+
+class TestDirectory:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_leaf_at_the_path_encoding_limit(self, tmp_path, dim):
+        # two points closer than the deepest block the u64 path encodes:
+        # the leaf holding both sits 64 // dim levels down, pinned over
+        # capacity, and its location code needs 65 bits
+        near = Point(*([2.0 ** -80] * dim))
+        origin = Point(*([0.0] * dim))
+        path = tmp_path / "deep.pf"
+        with PagedPRQuadtree.create(path, capacity=1, dim=dim) as tree:
+            tree.insert(origin)
+            tree.insert(near)
+            assert tree.height() == 64 // dim
+            assert max(tree._leaves).bit_length() == 65
+            tree.validate()
+            leaves = dict(tree._leaves)
+            census = tree.depth_census()
+        with PagedPRQuadtree.open(path) as reopened:
+            assert reopened._leaves == leaves
+            assert reopened.depth_census() == census
+            assert reopened.nearest(origin, 2) == [origin, near]
+            reopened.validate()
+
+    @pytest.mark.parametrize("capacity, dim", [(1, 2), (2, 3), (4, 1)])
+    def test_churn_directory_matches_reopen(self, tmp_path, capacity, dim):
+        import random
+
+        rng = random.Random(capacity * 10 + dim)
+        path = tmp_path / "churn.pf"
+        mem = PRQuadtree(capacity=capacity, bounds=Rect.unit(dim))
+        live = []
+        with PagedPRQuadtree.create(
+            path, capacity=capacity, dim=dim, pool_pages=8
+        ) as tree:
+            for _ in range(3000):
+                if live and rng.random() < 0.45:
+                    p = live.pop(rng.randrange(len(live)))
+                    assert tree.delete(p) and mem.delete(p)
+                else:
+                    p = Point(*(rng.random() for _ in range(dim)))
+                    assert tree.insert(p) == mem.insert(p)
+                    live.append(p)
+            assert tree.split_count > 0 and tree.merge_count > 0
+            tree.checkpoint()
+            tree.validate()
+            leaves = dict(tree._leaves)
+            assert tree.depth_census() == mem.depth_census()
+        with PagedPRQuadtree.open(path) as reopened:
+            assert reopened._leaves == leaves
+            reopened.validate()
 
 
 class TestConfiguration:
