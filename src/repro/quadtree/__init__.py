@@ -8,53 +8,41 @@
   companion analysis.
 - :class:`OccupancyCensus` / :class:`DepthCensus` /
   :class:`CensusAccumulator` — the measurement layer.
+
+Names load from their submodules on first read (:mod:`repro._lazy`),
+so a caller of one module, such as the paged tree's census, loads no
+other tree.
 """
 
-from .bintree import PRBintree
-from .bulk import bulk_load, from_dict, to_dict
-from .labeling import (
-    black_blocks,
-    component_areas,
-    component_count,
-    label_components,
-)
-from .mx import MXQuadtree
-from .neighbors import (
-    SIDES,
-    all_neighbor_pairs,
-    edge_neighbors,
-    leaf_adjacency_degree,
-)
-from .pm1 import PM1Quadtree, PM2Quadtree, PM3Quadtree
-from .region import RegionQuadtree
-from .census import CensusAccumulator, DepthCensus, OccupancyCensus
-from .pmr import PMRQuadtree
-from .point_quadtree import PointQuadtree
-from .pr import DuplicatePointError, PRQuadtree
+from typing import Dict, Tuple
 
-__all__ = [
-    "CensusAccumulator",
-    "DepthCensus",
-    "DuplicatePointError",
-    "MXQuadtree",
-    "OccupancyCensus",
-    "PM1Quadtree",
-    "PM2Quadtree",
-    "PM3Quadtree",
-    "PMRQuadtree",
-    "PointQuadtree",
-    "PRBintree",
-    "PRQuadtree",
-    "RegionQuadtree",
-    "SIDES",
-    "all_neighbor_pairs",
-    "black_blocks",
-    "bulk_load",
-    "component_areas",
-    "component_count",
-    "edge_neighbors",
-    "from_dict",
-    "label_components",
-    "leaf_adjacency_degree",
-    "to_dict",
-]
+from .._lazy import lazy_namespace
+
+#: Every public name, by the submodule that defines it.
+_SUBMODULE_NAMES: Dict[str, Tuple[str, ...]] = {
+    "bintree": ("PRBintree",),
+    "bulk": ("bulk_load", "from_dict", "to_dict"),
+    "census": ("CensusAccumulator", "DepthCensus", "OccupancyCensus"),
+    "labeling": (
+        "black_blocks",
+        "component_areas",
+        "component_count",
+        "label_components",
+    ),
+    "mx": ("MXQuadtree",),
+    "neighbors": (
+        "SIDES",
+        "all_neighbor_pairs",
+        "edge_neighbors",
+        "leaf_adjacency_degree",
+    ),
+    "pm1": ("PM1Quadtree", "PM2Quadtree", "PM3Quadtree"),
+    "pmr": ("PMRQuadtree",),
+    "point_quadtree": ("PointQuadtree",),
+    "pr": ("DuplicatePointError", "PRQuadtree"),
+    "region": ("RegionQuadtree",),
+}
+
+_HOME, __all__, __getattr__, __dir__ = lazy_namespace(
+    __name__, _SUBMODULE_NAMES
+)

@@ -21,58 +21,45 @@ breakdowns, and the ``metrics`` wire op returns counter/histogram
 ``repro serve top`` renders live and CI gates on.
 
 ``python -m repro serve start|stat|top|load|stop`` drives it all —
-see :mod:`~repro.service.cli`.
+see :mod:`~repro.service.cli`.  Names load from their submodules on
+first read (:mod:`repro._lazy`), so ``serve start`` loads no load
+generator.
 """
 
-from .protocol import (
-    MAX_FRAME_BYTES,
-    FrameTooLargeError,
-    ProtocolError,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from .wal import WalRecord, WriteAheadLog
-from .monitor import DriftMonitor, DriftSample
-from .server import (
-    ServiceError,
-    SpatialIndexServer,
-    open_state,
-    wal_path_for,
-)
-from .loadgen import LoadReport, run_load
-from .telemetry import (
-    DEFAULT_SLOW_K,
-    METRIC_PREFIXES,
-    MetricsCursor,
-    ServiceTelemetry,
-    SlowOp,
-    SlowOpRing,
-    args_digest,
-)
+from typing import Dict, Tuple
 
-__all__ = [
-    "DEFAULT_SLOW_K",
-    "DriftMonitor",
-    "DriftSample",
-    "FrameTooLargeError",
-    "LoadReport",
-    "MAX_FRAME_BYTES",
-    "METRIC_PREFIXES",
-    "MetricsCursor",
-    "ProtocolError",
-    "ServiceError",
-    "ServiceTelemetry",
-    "SlowOp",
-    "SlowOpRing",
-    "SpatialIndexServer",
-    "WalRecord",
-    "WriteAheadLog",
-    "args_digest",
-    "encode_frame",
-    "open_state",
-    "read_frame",
-    "run_load",
-    "wal_path_for",
-    "write_frame",
-]
+from .._lazy import lazy_namespace
+
+#: Every public name, by the submodule that defines it.
+_SUBMODULE_NAMES: Dict[str, Tuple[str, ...]] = {
+    "loadgen": ("LoadReport", "run_load"),
+    "monitor": ("DriftMonitor", "DriftSample"),
+    "protocol": (
+        "MAX_FRAME_BYTES",
+        "FrameTooLargeError",
+        "ProtocolError",
+        "encode_frame",
+        "read_frame",
+        "write_frame",
+    ),
+    "server": (
+        "ServiceError",
+        "SpatialIndexServer",
+        "open_state",
+        "wal_path_for",
+    ),
+    "telemetry": (
+        "DEFAULT_SLOW_K",
+        "METRIC_PREFIXES",
+        "MetricsCursor",
+        "ServiceTelemetry",
+        "SlowOp",
+        "SlowOpRing",
+        "args_digest",
+    ),
+    "wal": ("WalRecord", "WriteAheadLog"),
+}
+
+_HOME, __all__, __getattr__, __dir__ = lazy_namespace(
+    __name__, _SUBMODULE_NAMES
+)

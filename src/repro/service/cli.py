@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..dbpath import resolve_db_path
 from ..obs import Histogram, Tracer, tracing
 from ..storage.pagefile import StorageError
-from .loadgen import LoadError, ServiceClient, run_load
 from .server import ServiceError, SpatialIndexServer, open_state
 from .telemetry import DEFAULT_SLOW_K
 from .wal import WalError
@@ -172,11 +171,17 @@ def _cmd_start(args: argparse.Namespace) -> int:
     try:
         points = None
         if preload:
+            import numpy as np
+
             from ..workloads import UniformPoints
 
-            points = UniformPoints(
-                dim=args.dim, seed=args.preload_seed
-            ).generate(args.preload)
+            # lowered to an array at once, so the Point objects are
+            # freed before any page is laid out
+            points = np.array([
+                p.coords for p in UniformPoints(
+                    dim=args.dim, seed=args.preload_seed
+                ).generate(args.preload)
+            ], dtype=np.float64).reshape(-1, args.dim)
         tree, wal, replayed = open_state(
             args.path, create=True, capacity=args.capacity, dim=args.dim,
             page_size=args.page_size, pool_pages=args.pool_pages,
@@ -256,6 +261,8 @@ def _cmd_start(args: argparse.Namespace) -> int:
 
 
 async def _call_once(host: str, port: int, op: str) -> dict:
+    from .loadgen import ServiceClient
+
     client = await ServiceClient.connect(host, port)
     try:
         return await client.call(op)
@@ -409,6 +416,8 @@ def check_top_gates(
 async def _top_loop(
     args: argparse.Namespace,
 ) -> Tuple[Dict[str, Histogram], Dict[str, int]]:
+    from .loadgen import LoadError, ServiceClient
+
     totals: Dict[str, Histogram] = {}
     counters: Dict[str, int] = {}
     client = await ServiceClient.connect(args.host, args.port)
@@ -470,6 +479,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
+    from .loadgen import run_load
+
     report = asyncio.run(run_load(
         args.host, args.port,
         ops=args.ops, qps=args.qps, size=args.size, seed=args.seed,
@@ -506,9 +517,16 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # only the client commands load the client, and the load
+    # generator beside it; the server needs neither
+    client_errors: Tuple[type, ...] = ()
+    if args.command != "start":
+        from .loadgen import LoadError
+
+        client_errors = (LoadError,)
     try:
         return _HANDLERS[args.command](args)
-    except LoadError as exc:
+    except client_errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:  # pragma: no cover - interactive only

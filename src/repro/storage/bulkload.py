@@ -14,13 +14,15 @@ puts them in z-order, and one level-by-level refinement over the
 sorted code array yields exactly the leaf set the incremental build
 would reach — the PR tree's shape is a function of the point *set*,
 never of insertion order.  Every leaf run is then laid out as a
-slotted page in one array pass (:func:`~repro.storage.page.pack_pages`)
-and the pages are published with the header in one atomic
-:meth:`PageFile.create <repro.storage.pagefile.PageFile.create>`, with
-no buffer pool involved.  The leaf runs *are* the directory, so the
-returned tree is assembled from them by the constructor
-``PagedPRQuadtree.open`` uses, and no page is read back.  Bulk-loaded
-and incrementally-built files are interchangeable —
+slotted page by array passes (:func:`~repro.storage.page.pack_pages`),
+one slab of the page-file image at a time, into the slab
+:meth:`PageFile.create <repro.storage.pagefile.PageFile.create>`
+streams to disk and publishes with the header in one atomic write;
+no buffer pool is involved and no copy of the whole image is made.
+The leaf runs *are* the directory, so the returned tree is assembled
+from them by the constructor ``PagedPRQuadtree.open`` uses, and no
+page is read back.  Bulk-loaded and incrementally-built files are
+interchangeable —
 ``tests/test_bulkload.py`` pins census, query, and ``validate()``
 parity, and ``tests/test_bulkload_directory.py`` that the loaded tree
 is the one a reopen builds.
@@ -43,7 +45,7 @@ from ..geometry import Point, Rect, interleave_many
 from ..kernels.census import _CODE_BITS, _as_coord_array, descend_cells
 from ..kernels.queries import PointInput
 from .page import pack_pages
-from .pagefile import DEFAULT_PAGE_SIZE, PAGE_OVERHEAD, PageFile
+from .pagefile import DEFAULT_PAGE_SIZE, PageFile
 from .paged_tree import (
     PagedPRQuadtree, _LeafColumns, _leaf_meta_rows, _new_tree_meta,
 )
@@ -121,16 +123,22 @@ def bulk_load_paged(
                 raise
             return tree
         header.update(meta or {}, points=int(arr.shape[0]))
-        payloads = pack_pages(
-            page_size - PAGE_OVERHEAD,
-            _leaf_meta_rows(depths, paths),
-            arr.astype("<f8").view(np.uint8).reshape(arr.shape[0], 8 * dim),
-            starts, stops,
+        heads = _leaf_meta_rows(depths, paths)
+        records = arr.astype("<f8", copy=False).view(np.uint8).reshape(
+            arr.shape[0], 8 * dim
         )
+
+        def fill(out: np.ndarray, first: int) -> None:
+            run = slice(first, first + len(out))
+            out[:] = pack_pages(
+                out.shape[1], heads[run], records, starts[run], stops[run]
+            )
+
         pagefile = PageFile.create(
-            path, page_size=page_size, meta=header, payloads=payloads
+            path, page_size=page_size, meta=header, pages=int(starts.size),
+            fill=fill,
         )
-        del payloads
+        del heads, records
         try:
             tree = PagedPRQuadtree._assemble(
                 pagefile,

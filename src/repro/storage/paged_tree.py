@@ -48,8 +48,11 @@ import numpy as np
 from .. import obs
 from ..geometry import Point, Rect
 from ..quadtree.census import DepthCensus, OccupancyCensus
-from .page import HEADER_SIZE, SLOT_SIZE, SlottedPage
-from .pagefile import DEFAULT_PAGE_SIZE, PageFile, StorageError
+from .page import _TOMBSTONE, HEADER_SIZE, SLOT_SIZE, SlottedPage
+from .pagefile import (
+    _CRC, DEFAULT_PAGE_SIZE, PAGE_DATA, PAGE_OVERHEAD, PageFile,
+    StorageError,
+)
 from .pool import BufferPool
 
 #: Leaf identity record (slot 0): depth (u16), quadrant path (u64).
@@ -78,6 +81,9 @@ LeafRow = Tuple[int, int, int, int]
 
 #: Leaf pages as parallel arrays, one element per page.
 _LeafColumns = namedtuple("_LeafColumns", "depths paths page_ids counts")
+
+#: A page slot's type field, as columns of its row in a slab.
+_TYPE_FIELD = slice(_CRC.size, _CRC.size + 2)
 
 
 def _child(
@@ -295,20 +301,57 @@ class PagedPRQuadtree:
             raise
 
     @staticmethod
-    def _scan(pagefile: PageFile) -> List[LeafRow]:
-        """``(depth, path, page_id, count)`` of every leaf page, read
-        from the pages themselves."""
-        rows = []
-        for pid, payload in pagefile.iter_data_pages():
-            page = SlottedPage(bytearray(payload))
-            try:
-                identity = _LEAF_META.unpack(page.get(0))
-            except (KeyError, struct.error) as exc:
+    def _scan(pagefile: PageFile) -> _LeafColumns:
+        """The ``(depths, paths, page_ids, counts)`` of every leaf page,
+        read from the pages themselves a slab at a time
+        (:meth:`PageFile.slabs`): each data page's slot-0 identity
+        record and live-slot count, taken from array views of its
+        header and slot directory."""
+        size = pagefile.payload_size
+        columns: List[Tuple[np.ndarray, ...]] = []
+        for start, rows in pagefile.slabs():
+            types = rows[:, _TYPE_FIELD].copy().view("<u2").ravel()
+            data = np.flatnonzero(types == PAGE_DATA)
+            # (fancy indexing copies, so the views below are contiguous)
+            # page header (slot count, heap start), then slot 0's entry
+            slots, _, offset, length = (
+                rows[data, PAGE_OVERHEAD:PAGE_OVERHEAD + 8]
+                .view("<u2").T.astype(np.int64)
+            )
+            no_identity = (
+                (slots == 0) | (offset == _TOMBSTONE)
+                | (length != _LEAF_META.size)
+                | (offset + _LEAF_META.size > size)
+            )
+            if no_identity.any():
+                pid = start + int(data[no_identity][0])
+                raise StorageError(f"page {pid} has no leaf identity record")
+            overrun = HEADER_SIZE + slots * SLOT_SIZE > size
+            if overrun.any():
+                pid = start + int(data[overrun][0])
                 raise StorageError(
-                    f"page {pid} has no leaf identity record"
-                ) from exc
-            rows.append(identity + (pid, page.record_count - 1))
-        return rows
+                    f"page {pid} has a slot directory past its end: "
+                    "corrupt file"
+                )
+            width = int(slots.max(initial=0))
+            base = PAGE_OVERHEAD + HEADER_SIZE
+            offsets = (
+                rows[data, base:base + width * SLOT_SIZE].view("<u2")[:, ::2]
+            )
+            live = (offsets != _TOMBSTONE) & (
+                np.arange(width) < slots[:, None]
+            )
+            identity = rows[
+                data[:, None],
+                PAGE_OVERHEAD + offset[:, None] + np.arange(_LEAF_META.size),
+            ].view(_LEAF_META_DTYPE).ravel()
+            columns.append((
+                identity["depth"], identity["path"], start + data,
+                live.sum(axis=1) - 1,
+            ))
+        if not columns:
+            return _LeafColumns(*[np.empty(0, np.int64)] * 4)
+        return _LeafColumns(*map(np.concatenate, zip(*columns)))
 
     @classmethod
     def _assemble(
@@ -319,9 +362,10 @@ class PagedPRQuadtree:
         policy: str,
     ) -> "PagedPRQuadtree":
         """The tree over the published ``pagefile`` whose leaf pages are
-        ``entries``: ``(depth, path, page_id, count)`` rows from a page
-        scan, or the bulk loader's columns.  Checks the header's format,
-        then that the leaves tile the root block (:func:`_leaf_map`)."""
+        ``entries``: the columns of a page scan or of the bulk loader,
+        or ``(depth, path, page_id, count)`` rows.  Checks the header's
+        format, then that the leaves tile the root block
+        (:func:`_leaf_map`)."""
         meta = pagefile.meta
         if meta.get("format") != FORMAT_NAME:
             raise StorageError(

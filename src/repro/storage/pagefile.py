@@ -16,6 +16,15 @@ directory).  The on-disk file is therefore always a *consistent*
 snapshot — a crash at any instant leaves either the old checkpoint or
 the new one, never a half-written hybrid.
 
+Every pass over the whole image moves pages in **slabs**: one reused
+``uint8`` array of :data:`SLAB_BYTES` worth of page slots.
+:meth:`PageFile.create` has its caller fill each slab's payload rows,
+:meth:`PageFile.checkpoint` reads each slab's clean pages with one
+``readinto`` and encodes only the pending ones over them, and both
+stream the slabs into :func:`durable_replace`; :meth:`PageFile.slabs`
+reads the image back the same way, checksum-verified.  No pass holds
+more than one slab of the file, whatever its size.
+
 The header carries a small JSON metadata blob for the layer above
 (:class:`~repro.storage.paged_tree.PagedPRQuadtree` records its
 capacity, dimension, bounds, and point count there).
@@ -28,11 +37,15 @@ import os
 import struct
 import tempfile
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence,
+    Tuple, Union,
 )
+
+import numpy as np
 
 from .. import obs
 
@@ -55,6 +68,21 @@ NIL = 0xFFFFFFFF
 
 MIN_PAGE_SIZE = 128
 DEFAULT_PAGE_SIZE = 4096
+
+#: Bytes of page slots per slab: every pass over the whole image moves
+#: ``max(1, SLAB_BYTES // page_size)`` pages at a time through one
+#: reused array, so its memory is bounded by this, not the file.
+SLAB_BYTES = 1 << 20
+
+#: Fills the payload rows of data pages ``start..start + len(out) - 1``
+#: into ``out``, a zeroed ``(pages, payload_size)`` uint8 array:
+#: ``fill(out, start)``.
+PageFill = Callable[[np.ndarray, int], None]
+
+
+def slab_pages(page_size: int) -> int:
+    """Page slots per slab at ``page_size``."""
+    return max(1, SLAB_BYTES // page_size)
 
 
 class StorageError(RuntimeError):
@@ -120,14 +148,19 @@ class PageFile:
         page_size: int = DEFAULT_PAGE_SIZE,
         meta: Optional[Mapping[str, Any]] = None,
         payloads: Sequence[Any] = (),
+        pages: int = 0,
+        fill: Optional[PageFill] = None,
     ) -> "PageFile":
         """Create a new page file at ``path`` (atomically) and open it.
         Fails if ``path`` already exists.
 
         ``payloads`` become data pages ``0..len(payloads)-1`` (each a
-        bytes-like object no longer than :attr:`payload_size`), written
-        and published with the header in one :func:`durable_replace`:
-        the file is never seen without them.
+        bytes-like object no longer than :attr:`payload_size`).
+        Alternatively ``fill`` lays out ``pages`` data pages a slab at
+        a time (see :data:`PageFill`), so the caller never holds the
+        whole image either.  The pages are written and published with
+        the header in one :func:`durable_replace`: the file is never
+        seen without them.
         """
         path = Path(path)
         if path.exists():
@@ -136,22 +169,23 @@ class PageFile:
             raise ValueError(
                 f"page_size must be >= {MIN_PAGE_SIZE}, got {page_size}"
             )
+        if fill is None:
+            pages, fill = len(payloads), _copy_payloads(payloads)
         meta_dict = dict(meta or {})
-        header = cls._encode_header(
-            page_size, len(payloads), NIL, 0, meta_dict
-        )
+        header = cls._encode_header(page_size, pages, NIL, 0, meta_dict)
         if len(header) > page_size:
             raise ValueError(
                 f"metadata ({len(header)} bytes with header) does not fit "
                 f"in one {page_size}-byte page"
             )
-        payload_size = page_size - PAGE_OVERHEAD
-        chunks = [header.ljust(page_size, b"\0")]
-        for payload in payloads:
-            chunks.append(
-                _encode_page(PAGE_DATA, _padded(payload, payload_size))
-            )
-        durable_replace(path, b"".join(chunks))
+
+        def encode(rows: np.ndarray, start: int) -> None:
+            rows[:, _CRC.size:PAGE_OVERHEAD] = _type_bytes(PAGE_DATA)
+            rows[:, PAGE_OVERHEAD:] = 0
+            fill(rows[:, PAGE_OVERHEAD:], start)
+            _seal(rows, np.arange(len(rows)))
+
+        durable_replace(path, _image(header, page_size, pages, encode))
         return cls.open(path)
 
     @classmethod
@@ -339,6 +373,40 @@ class PageFile:
             if page_type == PAGE_DATA:
                 yield pid, payload
 
+    def slabs(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """Yield ``(start, rows)`` over the last checkpoint's image:
+        ``rows`` holds page slots ``start..start + len(rows) - 1`` (CRC,
+        type, reserved, payload; one ``page_size`` row each), read with
+        one ``readinto`` and checksum-verified.  Every step reuses one
+        array, so a row is valid only until the next step."""
+        if self._closed:
+            raise StorageError("page file is closed")
+        for start, rows in _slab_rows(self._page_size, self._base_count):
+            self._read_rows(rows, start)
+            stored = rows[:, :_CRC.size].copy().view("<u4").ravel()
+            computed = np.fromiter(
+                (zlib.crc32(row[_CRC.size:]) for row in rows),
+                dtype=np.uint32, count=len(rows),
+            )
+            bad = np.flatnonzero(stored != computed)
+            if bad.size:
+                raise PageCorruptionError(
+                    f"checksum mismatch on page {start + int(bad[0])} "
+                    f"of {self._path}"
+                )
+            yield start, rows
+
+    def _read_rows(self, rows: np.ndarray, start: int) -> None:
+        """Read on-disk page slots ``start..start + len(rows) - 1`` into
+        ``rows`` with one ``readinto``."""
+        self._file.seek(self._page_size * (1 + start))
+        got = self._file.readinto(rows)
+        if got < rows.nbytes:
+            raise PageCorruptionError(
+                f"page {start + got // self._page_size} truncated in "
+                f"{self._path}"
+            )
+
     def _check_pid(self, pid: int) -> None:
         if self._closed:
             raise StorageError("page file is closed")
@@ -367,15 +435,27 @@ class PageFile:
             )
             if len(header) > self._page_size:
                 raise ValueError("metadata grew past one page")
-            chunks = [header.ljust(self._page_size, b"\0")]
-            for pid in range(self._page_count):
-                pending = self._pending.get(pid)
-                if pending is not None:
-                    chunks.append(_encode_page(*pending))
-                else:
-                    self._file.seek(self._page_size * (1 + pid))
-                    chunks.append(self._file.read(self._page_size))
-            durable_replace(self._path, b"".join(chunks))
+            pending = sorted(self._pending)
+
+            def encode(rows: np.ndarray, start: int) -> None:
+                # clean pages are copied as they are on disk; every page
+                # past the base count is pending (allocate marks it)
+                clean = min(len(rows), self._base_count - start)
+                if clean > 0:
+                    self._read_rows(rows[:clean], start)
+                lo = bisect_left(pending, start)
+                here = pending[lo:bisect_left(pending, start + len(rows), lo)]
+                for pid in here:
+                    page_type, payload = self._pending[pid]
+                    row = rows[pid - start]
+                    row[_CRC.size:PAGE_OVERHEAD] = _type_bytes(page_type)
+                    row[PAGE_OVERHEAD:] = np.frombuffer(payload, np.uint8)
+                _seal(rows, np.array(here, dtype=np.int64) - start)
+
+            durable_replace(
+                self._path,
+                _image(header, self._page_size, self._page_count, encode),
+            )
             self._file.close()
             self._file = open(self._path, "rb")
             self._base_count = self._page_count
@@ -426,15 +506,61 @@ def _padded(payload: Any, payload_size: int) -> bytes:
     return payload.ljust(payload_size, b"\0")
 
 
-def _encode_page(page_type: int, payload: bytes) -> bytes:
-    """One on-disk page slot: the checksummed prefix, then ``payload``
-    (already padded to the payload size)."""
-    crc = zlib.crc32(payload, zlib.crc32(_PAGE_TYPE.pack(page_type, 0)))
-    return _PAGE_HEADER.pack(crc, page_type, 0) + payload
+def _copy_payloads(payloads: Sequence[Any]) -> PageFill:
+    """The :data:`PageFill` that copies ``payloads`` into their rows."""
+    def fill(out: np.ndarray, start: int) -> None:
+        size = out.shape[1]
+        for row, payload in zip(out, payloads[start:start + len(out)]):
+            payload = _padded(payload, size)
+            row[:] = np.frombuffer(payload, dtype=np.uint8)
+
+    return fill
 
 
-def durable_replace(path: Union[str, Path], data: bytes) -> None:
-    """Atomically and durably replace ``path`` with ``data``.
+def _type_bytes(page_type: int) -> np.ndarray:
+    """A page slot's checksummed type and reserved fields."""
+    return np.frombuffer(_PAGE_TYPE.pack(page_type, 0), dtype=np.uint8)
+
+
+def _seal(rows: np.ndarray, which: np.ndarray) -> None:
+    """Write the CRC of each page slot ``rows[which]`` (over its type,
+    reserved and payload bytes) into its first four bytes."""
+    crcs = np.fromiter(
+        (zlib.crc32(rows[i, _CRC.size:]) for i in which.tolist()),
+        dtype="<u4", count=len(which),
+    )
+    rows[which, :_CRC.size] = crcs.view(np.uint8).reshape(-1, _CRC.size)
+
+
+def _slab_rows(page_size: int, pages: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(start, rows)`` over page slots ``0..pages-1``, a slab at a
+    time: every ``rows`` is a view of one reused array."""
+    slab = np.empty((min(slab_pages(page_size), pages), page_size), np.uint8)
+    for start in range(0, pages, len(slab) or 1):
+        yield start, slab[:pages - start]
+
+
+def _image(
+    header: bytes,
+    page_size: int,
+    pages: int,
+    encode: Callable[[np.ndarray, int], None],
+) -> Iterator[Any]:
+    """A page-file image as buffers, for :func:`durable_replace`: the
+    header block, then slots ``0..pages-1`` a slab at a time, each slab
+    laid out by ``encode(rows, start)`` in one reused array."""
+    yield header.ljust(page_size, b"\0")
+    for start, rows in _slab_rows(page_size, pages):
+        encode(rows, start)
+        yield rows
+
+
+def durable_replace(
+    path: Union[str, Path], data: Union[bytes, Iterable[Any]]
+) -> None:
+    """Atomically and durably replace ``path`` with ``data``: bytes, or
+    an iterable of bytes-like buffers written in order (each may be
+    reused once the next is drawn).
 
     The bytes go to a temp file beside ``path``, which is fsynced and
     renamed over ``path``; then the directory is fsynced, because the
@@ -442,13 +568,16 @@ def durable_replace(path: Union[str, Path], data: bytes) -> None:
     directory is.  A crash at any instant leaves the old file or the
     new one, and a power loss after return keeps the new one.
     """
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
         prefix=path.name, suffix=".tmp", dir=path.parent
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in data:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)

@@ -47,14 +47,22 @@ def _points(case):
 
 
 def _count_reads(monkeypatch):
+    """Record the page ids read from disk, one at a time or a slab of
+    rows at a time."""
     reads = []
     read_raw = PageFile._read_raw
+    read_rows = PageFile._read_rows
 
     def counted(self, pid):
         reads.append(pid)
         return read_raw(self, pid)
 
+    def counted_rows(self, rows, start):
+        reads.extend(range(start, start + len(rows)))
+        return read_rows(self, rows, start)
+
     monkeypatch.setattr(PageFile, "_read_raw", counted)
+    monkeypatch.setattr(PageFile, "_read_rows", counted_rows)
     return reads
 
 

@@ -118,6 +118,33 @@ def test_serve_start_without_db_loads_no_run_database(tmp_path, flag):
     assert out.rsplit("---", 1)[1].strip() == repr(sorted(SERVED_CORE))
 
 
+#: Modules only the paper toolkit and the load generator use.
+UNSERVED = (
+    "repro.quadtree.pr", "repro.quadtree.pmr", "repro.service.loadgen",
+)
+
+
+def test_serve_start_loads_no_tree_or_load_generator(tmp_path):
+    code = (
+        "import sys\n"
+        "from repro.service import cli, server\n"
+        "start = server.SpatialIndexServer.start\n"
+        "async def start_then_stop(self):\n"
+        "    await start(self)\n"
+        "    self.request_shutdown()\n"
+        "server.SpatialIndexServer.start = start_then_stop\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print('---')\n"
+        f"print(sorted(m for m in {UNSERVED!r} if m in sys.modules))\n"
+    )
+    out = _fresh(
+        code, "start", str(tmp_path / "s.pf"), "--port", "0", "--no-trace",
+        "--no-db", "--preload", "100",
+    )
+    assert "serving" in out
+    assert out.rsplit("---", 1)[1].strip() == "[]"
+
+
 def test_model_functions_import_gammaln_on_first_use():
     # the exact model in a process that never loaded scipy.special
     # gives the same bits as in this one, where it may be loaded
@@ -142,6 +169,14 @@ def test_gammaln_is_bound_to_the_ufunc_after_first_call():
 
     fagin.expected_total_leaves(100, 4)
     assert fagin.gammaln is ufunc
+
+
+@pytest.mark.parametrize("package", ["repro.quadtree", "repro.service"])
+def test_lazy_subpackage_resolves_every_name(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        home = importlib.import_module(f"{package}.{module._HOME[name]}")
+        assert getattr(module, name) is getattr(home, name), name
 
 
 class TestPublicNamespace:

@@ -43,12 +43,16 @@ def _instrumented() -> TrialResult:
     return build_trials(SPEC, 0, SPEC.trials)
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    best = float("inf")
+def _best_of_interleaved(base, other, repeats: int = 5):
+    """Best-of-``repeats`` wall times of ``base`` and ``other``, run
+    alternately (ABAB...) so that a slow stretch of a shared host
+    slows both sides, not just the one that happened to be running."""
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        began = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - began)
+        for side, fn in enumerate((base, other)):
+            began = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - began)
     return best
 
 
@@ -61,8 +65,9 @@ class TestDisabledOverhead:
     def test_macro_overhead_under_budget(self):
         assert obs.active_tracer() is None
         _uninstrumented(), _instrumented()  # warm caches/allocator
-        base = _best_of(_uninstrumented)
-        instrumented = _best_of(_instrumented)
+        base, instrumented = _best_of_interleaved(
+            _uninstrumented, _instrumented
+        )
         assert instrumented <= base * BUDGET + JITTER, (
             f"disabled instrumentation cost "
             f"{instrumented / base - 1.0:.1%} (budget 5%)"
@@ -85,9 +90,13 @@ class TestDisabledOverhead:
     def test_enabled_tracer_still_cheap_on_the_macro_bench(self):
         """Tracing ON should not distort what it measures: the pinned
         bench stays within a loose 25% of the uninstrumented loop."""
-        base = _best_of(_uninstrumented)
-        with obs.tracing():
-            traced = _best_of(_instrumented)
+        tracer = obs.Tracer()
+
+        def traced_run():
+            with obs.tracing(tracer):
+                _instrumented()
+
+        base, traced = _best_of_interleaved(_uninstrumented, traced_run)
         assert traced <= base * 1.25 + JITTER
 
 
