@@ -20,11 +20,7 @@ two or more bench runs, ``repro db diff`` is the richer check (span
 level, median+MAD over history); this script stays as the dependency-
 free file-vs-file gate.
 
-``--require-parallel-speedup X`` additionally gates the parallel
-stage's headline speedup: the pool must never again ship slower than
-serial, so CI's 2-worker smoke leg passes ``1.0``.
-
-``--require-query-speedup X`` gates the queries stage the same way:
+``--require-query-speedup X`` additionally gates the queries stage:
 the batch range kernel must report at least ``X`` speedup over the
 object tree's walks at the stage's top size, and every size's parity
 check must have passed — the kernels are only a win while they stay
@@ -87,28 +83,6 @@ def compare(
                 f"stage '{name}': {cur[name]:.3f}s exceeds "
                 f"{factor:g}x baseline ({base[name]:.3f}s)"
             )
-    return problems
-
-
-def check_parallel_speedup(current: dict, minimum: float) -> List[str]:
-    """Messages when the parallel stage missed ``minimum`` speedup (or
-    degraded chunks mean the pool never actually ran)."""
-    stage = current.get("stages", {}).get("parallel")
-    if stage is None:
-        return ["parallel stage missing from current snapshot"]
-    problems = []
-    speedup = stage.get("speedup", 0.0)
-    if not isinstance(speedup, (int, float)) or speedup < minimum:
-        problems.append(
-            f"parallel speedup {speedup} below required {minimum:g}x "
-            f"({stage.get('workers')} workers, "
-            f"engine {stage.get('engine', 'object')})"
-        )
-    if stage.get("degraded"):
-        problems.append(
-            f"parallel stage degraded {stage['degraded']} chunk(s) "
-            "to in-process execution — the pool did not actually run"
-        )
     return problems
 
 
@@ -217,12 +191,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="allowed slowdown per stage (default: %(default)s)",
     )
     parser.add_argument(
-        "--require-parallel-speedup", type=float, default=None,
-        metavar="X",
-        help="fail unless the current snapshot's parallel stage reports "
-             "speedup >= X (and zero degraded chunks)",
-    )
-    parser.add_argument(
         "--require-query-speedup", type=float, default=None,
         metavar="X",
         help="fail unless the current snapshot's queries stage reports "
@@ -280,10 +248,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{base[name]:.3f}s ({ratio:.2f}x)"
         )
     problems = compare(current, baseline, args.factor)
-    if args.require_parallel_speedup is not None:
-        problems.extend(check_parallel_speedup(
-            current, args.require_parallel_speedup
-        ))
     if args.require_query_speedup is not None:
         problems.extend(check_query_speedup(
             current, args.require_query_speedup

@@ -1,15 +1,15 @@
 """Performance: query throughput across the structure family.
 
 Range and nearest-neighbor queries over the same 5000-point dataset,
-answered by the PR quadtree, the point quadtree, the grid file, EXCELL
-and the Morton index.  All answers are cross-checked against brute
+answered by the PR quadtree, the point quadtree, the grid file and
+EXCELL.  All answers are cross-checked against brute
 force once before timing.
 """
 
 import pytest
 
 from repro.excell import Excell
-from repro.geometry import MortonIndex, Point, Rect
+from repro.geometry import Point, Rect
 from repro.gridfile import GridFile
 from repro.quadtree import PointQuadtree, PRQuadtree
 from repro.workloads import UniformPoints
@@ -48,12 +48,6 @@ def _excell():
     return cells
 
 
-def _morton():
-    index = MortonIndex()
-    index.insert_many(POINTS)
-    return index
-
-
 @pytest.mark.parametrize(
     "name,factory",
     [
@@ -61,7 +55,6 @@ def _morton():
         ("point_quadtree", _point_tree),
         ("grid_file", _grid),
         ("excell", _excell),
-        ("morton_index", _morton),
     ],
 )
 def test_range_query(benchmark, name, factory):

@@ -8,8 +8,8 @@ sketches:
    intersection) computed directly on the trees.
 2. **Morton codes** (Orenstein 1982): the PR quadtree *is* a trie over
    bit-interleaved coordinates — demonstrated by checking that quadrant
-   paths equal code prefixes, then racing a sorted Morton index against
-   the tree on range queries.
+   paths equal code prefixes, then racing the sorted-Morton-code query
+   kernel against the tree on range queries.
 
 Run:  python examples/raster_and_zorder.py
 """
@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from repro import Point, PRQuadtree, Rect, UniformPoints
-from repro.geometry import MortonIndex, morton_key, prefix_at_depth
+from repro.geometry import morton_key, prefix_at_depth
+from repro.kernels import QueryKernel
 from repro.quadtree import RegionQuadtree
 
 
@@ -81,20 +82,20 @@ def morton_study():
 
     tree = PRQuadtree(capacity=8)
     tree.insert_many(pts)
-    index = MortonIndex(bits=bits)
-    index.insert_many(pts)
+    kernel = QueryKernel.build(pts, capacity=8)
 
     query = Rect(Point(0.41, 0.37), Point(0.52, 0.49))
     t0 = time.perf_counter()
     from_tree = sorted(p.coords for p in tree.range_search(query))
     tree_ms = (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
-    from_index = sorted(p.coords for p in index.range_search(query))
-    index_ms = (time.perf_counter() - t0) * 1000
-    assert from_tree == from_index
+    (rows,) = kernel.batch_range([query])
+    kernel_ms = (time.perf_counter() - t0) * 1000
+    assert from_tree == [tuple(row) for row in rows.tolist()]
     print(
         f"range query agreement: {len(from_tree)} points; "
-        f"PR quadtree {tree_ms:.2f} ms, Morton index {index_ms:.2f} ms"
+        f"PR quadtree {tree_ms:.2f} ms, Morton query kernel "
+        f"{kernel_ms:.2f} ms"
     )
 
 

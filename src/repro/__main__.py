@@ -42,10 +42,9 @@ Execution flags (every table/figure command):
     census vs. cache I/O vs. pool) and its counters/gauges.
 
 ``bench`` runs the pinned performance suite (build, census,
-parallel-vs-serial, warm-cache, storage, object-vs-vector kernels,
-batch queries, serve) and writes a machine-readable ``BENCH_10.json``
-snapshot plus a ``BENCH_TRACE_10.json`` trace bundle — see
-:mod:`repro.bench`.
+warm-cache, storage, object-vs-vector kernels, batch queries, serve)
+and writes a machine-readable ``BENCH_10.json`` snapshot plus a
+``BENCH_TRACE_10.json`` trace bundle — see :mod:`repro.bench`.
 
 ``storage`` builds, inspects, and validates disk-backed PR quadtrees
 (one bucket per page through a buffer pool) — see

@@ -1,16 +1,11 @@
 """The pinned performance suite — ``python -m repro bench``.
 
-Eight stages exercise the hot paths the runtime owns, each under its
+Seven stages exercise the hot paths the runtime owns, each under its
 own :class:`~repro.obs.Tracer` so the snapshot records *where* the
 time went, not just how much there was:
 
 - **build** — cold serial tree construction (the harness's inner loop);
 - **census** — occupancy + per-depth censuses over a prebuilt tree;
-- **parallel** — the same workload serial vs. the session's
-  persistent process pool on the pinned engine (vector, where the
-  pool's batched kernel path applies), reporting the headline speedup
-  plus an object-engine cross-check; the pool is warmed untimed first
-  so the number measures the steady state a sweep actually sees;
 - **warm_cache** — cold store then warm load through the result cache,
   reporting hit latency;
 - **storage** — cold build of a disk-backed tree (one bucket per page
@@ -77,10 +72,6 @@ PROFILES = {
     "full": {
         "build": {"capacity": 8, "n_points": 2000, "trials": 20},
         "census": {"capacity": 8, "n_points": 20000, "repeats": 20},
-        "parallel": {
-            "capacity": 8, "n_points": 2000, "trials": 32,
-            "engine": "vector", "chunk_size": 8,
-        },
         "warm_cache": {"capacity": 8, "n_points": 1000, "trials": 5},
         "storage": {
             "capacity": 8, "n_points": 5000, "pool_pages": 1024,
@@ -99,10 +90,6 @@ PROFILES = {
     "smoke": {
         "build": {"capacity": 8, "n_points": 400, "trials": 5},
         "census": {"capacity": 8, "n_points": 2000, "repeats": 5},
-        "parallel": {
-            "capacity": 8, "n_points": 800, "trials": 16,
-            "engine": "vector", "chunk_size": 4,
-        },
         "warm_cache": {"capacity": 8, "n_points": 300, "trials": 3},
         "storage": {
             "capacity": 8, "n_points": 1000, "pool_pages": 256,
@@ -220,80 +207,6 @@ def _stage_census(params: Dict[str, Any]) -> Dict[str, Any]:
         "leaves": tree.leaf_count(),
         "trace": _snapshot(tracer),
     }
-
-
-def _stage_parallel(
-    params: Dict[str, Any], workers: int
-) -> Dict[str, Any]:
-    """Identical workload serial vs. the persistent process pool;
-    results are bit-identical by the runtime's seed contract, so only
-    the clock differs.
-
-    The headline runs on the pinned engine (vector, where workers take
-    the batched-kernel path); an untraced object-engine pass rides
-    along as a cross-check so the snapshot shows both.  Each pooled
-    measurement happens inside a warm :func:`runtime_session` — one
-    untimed run spins the persistent workers up first, exactly the
-    steady state a population sweep sees.
-    """
-    from .runtime import runtime_session
-
-    engine = params.get("engine", "object")
-    chunk_size = params.get("chunk_size")
-    spec = _spec(params)
-
-    def measure(eng: str, traced: bool):
-        # untimed serial warmup (imports, numpy dispatch)
-        execute(
-            spec.with_trials(1),
-            RuntimeConfig(workers=1, use_cache=False, engine=eng,
-                          tracer=Tracer()),
-        )
-        serial_tracer = Tracer() if traced else None
-        began = time.perf_counter()
-        execute(
-            spec,
-            RuntimeConfig(workers=1, use_cache=False, engine=eng,
-                          tracer=serial_tracer),
-        )
-        serial_s = time.perf_counter() - began
-
-        pool_tracer = Tracer() if traced else None
-        with runtime_session(
-            workers=workers, use_cache=False, engine=eng,
-            chunk_size=chunk_size,
-        ) as config:
-            execute(spec)  # untimed: spins the persistent workers up
-            began = time.perf_counter()
-            if pool_tracer is not None:
-                config.tracer = pool_tracer
-                with tracing(pool_tracer):
-                    execute(spec)
-            else:
-                execute(spec)
-            pool_s = time.perf_counter() - began
-        return serial_s, pool_s, serial_tracer, pool_tracer
-
-    serial_s, pool_s, serial_tracer, pool_tracer = measure(engine, True)
-    result = {
-        "params": dict(params),
-        "workers": workers,
-        "engine": engine,
-        "serial_s": serial_s,
-        "pool_s": pool_s,
-        "speedup": serial_s / pool_s if pool_s > 0 else 0.0,
-        "degraded": pool_tracer.counters.get("runtime.degraded", 0),
-        "serial_trace": _snapshot(serial_tracer),
-        "pool_trace": _snapshot(pool_tracer),
-    }
-    if engine != "object":
-        obj_serial_s, obj_pool_s, _, _ = measure("object", False)
-        result["object_serial_s"] = obj_serial_s
-        result["object_pool_s"] = obj_pool_s
-        result["object_speedup"] = (
-            obj_serial_s / obj_pool_s if obj_pool_s > 0 else 0.0
-        )
-    return result
 
 
 def _stage_warm_cache(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -602,9 +515,7 @@ def _stage_serve(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def run_suite(
-    smoke: bool = False, workers: Optional[int] = None
-) -> Dict[str, Any]:
+def run_suite(smoke: bool = False) -> Dict[str, Any]:
     """Run every pinned stage; returns the snapshot dict.
 
     Each stage result carries a uniform ``stage_wall_s`` (the stage's
@@ -612,14 +523,11 @@ def run_suite(
     check compares against the committed baseline.
     """
     profile = PROFILES["smoke" if smoke else "full"]
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
     began = time.time()
     stages = {}
     for name, runner in (
         ("build", lambda: _stage_build(profile["build"])),
         ("census", lambda: _stage_census(profile["census"])),
-        ("parallel", lambda: _stage_parallel(profile["parallel"], workers)),
         ("warm_cache", lambda: _stage_warm_cache(profile["warm_cache"])),
         ("storage", lambda: _stage_storage(profile["storage"])),
         ("kernels", lambda: _stage_kernels(profile["kernels"])),
@@ -654,14 +562,6 @@ def summarize(snapshot: Dict[str, Any]) -> str:
         f"max depth {s['build']['max_depth']:g})",
         f"  census    : {s['census']['censuses_per_s']:8.1f} census/s  "
         f"({s['census']['wall_s']:.3f}s over {s['census']['leaves']} leaves)",
-        f"  parallel  : {s['parallel']['speedup']:8.2f}x speedup   "
-        f"({s['parallel'].get('engine', 'object')} serial "
-        f"{s['parallel']['serial_s']:.3f}s vs "
-        f"{s['parallel']['workers']} workers {s['parallel']['pool_s']:.3f}s"
-        + (f", object {s['parallel']['object_speedup']:.2f}x"
-           if "object_speedup" in s["parallel"] else "")
-        + (", DEGRADED" if s["parallel"]["degraded"] else "")
-        + ")",
         f"  warm cache: {s['warm_cache']['warmup_factor']:8.1f}x warmup   "
         f"(cold {s['warm_cache']['cold_s']:.3f}s, "
         f"warm {s['warm_cache']['warm_s']:.4f}s)",
@@ -736,8 +636,7 @@ def write_trace_bundle(snapshot: Dict[str, Any], path: Path) -> Path:
     """Write every stage tracer from ``snapshot`` as one trace bundle.
 
     The bundle is the ``{"stages": {name: Tracer.to_dict()}}`` shape
-    ``repro obs report|diff|export`` consume directly (stages with two
-    tracers split into ``parallel.serial`` / ``parallel.pool``).
+    ``repro obs report|diff|export`` consume directly.
     """
     from .obs.diff import extract_traces
 
@@ -756,7 +655,7 @@ def write_trace_bundle(snapshot: Dict[str, Any], path: Path) -> Path:
 
 def render_traces(snapshot: Dict[str, Any]) -> str:
     """Every stage's span tree rendered like ``--verbose`` renders the
-    run report's — the pool stage shows the merged ``worker.N`` trees."""
+    run report's."""
     from .obs.diff import extract_traces
 
     sections: List[str] = []
@@ -775,18 +674,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="down-scaled CI profile (shape checks, not stable timings)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="pool width for the parallel stage (default: min(4, cpus))",
-    )
-    parser.add_argument(
         "--out", default=f"BENCH_{BENCH_VERSION}.json", metavar="PATH",
         help="snapshot path (default: %(default)s; '-' to skip writing; "
              "a trace bundle is written next to it)",
     )
     parser.add_argument(
         "--verbose", action="store_true",
-        help="also print each stage's span tree (the pool stage shows "
-             "the merged worker.N subtrees)",
+        help="also print each stage's span tree",
     )
     parser.add_argument(
         "--db", default=None, metavar="PATH",
@@ -799,9 +693,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(also: REPRO_NO_DB=1)",
     )
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    snapshot = run_suite(smoke=args.smoke, workers=args.workers)
+    snapshot = run_suite(smoke=args.smoke)
     print(summarize(snapshot))
     if args.verbose:
         print()

@@ -36,6 +36,7 @@ from ..runtime import (
     active_config,
     build_trials,
     execute,
+    plan_chunks,
     rect_to_tuple,
 )
 from ..workloads import GaussianPoints, PointGenerator, UniformPoints
@@ -228,10 +229,12 @@ def run_trials(
             max_depth=max_depth, bounds=bounds,
             collect_depth=collect_depth, collect_area=collect_area,
         )
-        result = build_trials(
-            tree_spec, 0, trials, engine,
-            make_generator=lambda trial: generator_factory(seed + trial),
-        )
+        result = TrialResult.empty(tree_spec.capacity)
+        for start, count in plan_chunks(trials, 1, n_points):
+            result.merge(build_trials(
+                tree_spec, start, count, engine,
+                make_generator=lambda trial: generator_factory(seed + trial),
+            ))
         return _trial_set_from_result(result, n_points)
     overrides = {}
     if workers is not None:

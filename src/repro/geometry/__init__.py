@@ -6,7 +6,6 @@
 """
 
 from .morton import (
-    MortonIndex,
     deinterleave,
     interleave,
     interleave_many,
@@ -19,7 +18,6 @@ from .rect import Rect
 from .segment import Segment
 
 __all__ = [
-    "MortonIndex",
     "Point",
     "Rect",
     "Segment",

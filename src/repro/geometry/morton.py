@@ -3,9 +3,8 @@
 Orenstein's "multidimensional tries" [Oren82], the paper's citation for
 the PR quadtree, are exactly tries over bit-interleaved coordinates:
 the PR quadtree's quadrant path for a point *is* the prefix of its
-Morton code.  This module provides the codes and a sorted-array index
-built on them, used in the examples to show the equivalence and as a
-simple baseline for range queries.
+Morton code.  This module provides the codes; the batch kernels in
+:mod:`repro.kernels` sort and scan arrays of them.
 
 Coordinates are quantized to ``bits`` binary digits per axis within a
 bounding box; two points share a depth-k PR quadtree block iff their
@@ -15,8 +14,7 @@ verify against the real tree).
 
 from __future__ import annotations
 
-import bisect
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .point import Point
 from .rect import Rect
@@ -78,9 +76,9 @@ def interleave_many(coords: "np.ndarray", bits: int) -> "np.ndarray":
     Returns a ``uint64`` array of ``n`` Morton codes with exactly the
     scalar function's bit layout (axis 0 most significant within each
     ``dim``-bit group).  ``bits * dim`` must stay within 62 so the codes
-    remain exact in both ``uint64`` and ``int64`` arithmetic — the same
-    limit :class:`MortonIndex` enforces.  Dims 1–3 within that budget
-    spread bits with magic masks; other dims interleave level by level.
+    remain exact in both ``uint64`` and ``int64`` arithmetic.  Dims 1–3
+    within that budget spread bits with magic masks; other dims
+    interleave level by level.
     """
     import numpy as np
 
@@ -158,99 +156,3 @@ def prefix_at_depth(code: int, depth: int, dim: int, bits: int) -> int:
     if not 0 <= depth <= bits:
         raise ValueError(f"depth must be in 0..{bits}, got {depth}")
     return code >> ((bits - depth) * dim)
-
-
-class MortonIndex:
-    """A sorted-array spatial index over Morton codes.
-
-    The simplest practical use of z-ordering: keep ``(code, point)``
-    pairs sorted and answer box queries by scanning the code range of
-    the query's bounding Morton interval, filtering exactly.  Provided
-    as the baseline the tree structures are measured against in the
-    examples.
-    """
-
-    def __init__(self, bounds: Optional[Rect] = None, bits: int = 16,
-                 dim: int = 2):
-        if bounds is None:
-            bounds = Rect.unit(dim)
-        if bits < 1 or bits * bounds.dim > 62:
-            raise ValueError("bits per axis out of supported range")
-        self._bounds = bounds
-        self._bits = bits
-        self._codes: List[int] = []
-        self._points: List[Point] = []
-
-    @property
-    def bounds(self) -> Rect:
-        """The indexed region."""
-        return self._bounds
-
-    @property
-    def bits(self) -> int:
-        """Quantization bits per axis."""
-        return self._bits
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def insert(self, p: Point) -> None:
-        """Insert a point (duplicates allowed; they share a code)."""
-        code = morton_key(p, self._bounds, self._bits)
-        at = bisect.bisect_left(self._codes, code)
-        self._codes.insert(at, code)
-        self._points.insert(at, p)
-
-    def insert_many(self, points: Iterable[Point]) -> None:
-        """Bulk insert followed by one sort — preferred for loading."""
-        pairs = [
-            (morton_key(p, self._bounds, self._bits), p) for p in points
-        ]
-        pairs.extend(zip(self._codes, self._points))
-        pairs.sort(key=lambda pair: pair[0])
-        self._codes = [code for code, _ in pairs]
-        self._points = [p for _, p in pairs]
-
-    def range_search(self, query: Rect) -> List[Point]:
-        """All points in the half-open query box.
-
-        Scans the Morton interval of the query's corners and filters
-        exactly; correct always, efficient when the query is small and
-        compact (the z-curve keeps nearby points nearby).
-        """
-        if query.dim != self._bounds.dim:
-            raise ValueError("query dimension mismatch")
-        if not query.intersects(self._bounds):
-            return []
-        clipped = query.intersection(self._bounds)
-        lo_cell = quantize(clipped.lo, self._bounds, self._bits)
-        # the hi corner is exclusive; step inside before quantizing
-        eps_point = Point(
-            *(
-                min(clipped.hi[i], self._bounds.hi[i])
-                - 1e-12 * self._bounds.side(i)
-                for i in range(self._bounds.dim)
-            )
-        )
-        hi_cell = quantize(
-            self._bounds.clamp(eps_point), self._bounds, self._bits
-        )
-        lo_code = interleave(lo_cell, self._bits)
-        hi_code = interleave(hi_cell, self._bits)
-        start = bisect.bisect_left(self._codes, min(lo_code, hi_code))
-        stop = bisect.bisect_right(self._codes, max(lo_code, hi_code))
-        return [
-            p
-            for p in self._points[start:stop]
-            if query.contains_point(p)
-        ]
-
-    def points(self) -> List[Point]:
-        """All points in Morton order."""
-        return list(self._points)
-
-    def validate(self) -> None:
-        """Invariant: codes sorted and consistent with their points."""
-        assert self._codes == sorted(self._codes)
-        for code, p in zip(self._codes, self._points):
-            assert code == morton_key(p, self._bounds, self._bits)

@@ -29,7 +29,8 @@ computed straight from the point coordinates, with no loop over depths:
 The census is the occupancy scheme of a dyadic cascade, so the scan is
 a handful of whole-array passes however deep the tree.  A batch is the
 same scan over trials stacked in ``(trial, code)`` order, with windows
-and neighbours cut at trial boundaries.
+and neighbours cut at trial boundaries; the runtime censuses every
+chunk of trials, serial or pooled, with one batch call.
 
 Exactness.  The engine is *bit-identical* to
 ``PRQuadtree(...).occupancy_census()`` / ``.depth_census()`` for any
@@ -305,7 +306,7 @@ def vector_census_batch(
     max_depth: Optional[int] = None,
 ) -> List[LeafPartition]:
     """Exact PR-quadtree leaf censuses of ``B`` trials in one kernel
-    pass — the pool workers' amortized fast path.
+    pass — the runtime's call for every chunk of trials.
 
     ``points`` is a ``(B, n, dim)`` float64 tensor: ``B`` independent
     trials of ``n`` points each over the same ``bounds``.  Each trial

@@ -59,9 +59,7 @@ import numpy as np
 
 from .. import obs
 from ..geometry import Point, Rect, interleave_many
-from .census import _CODE_BITS, _as_coord_array, descend_cells
-
-PointInput = Union[Sequence[Point], np.ndarray]
+from .census import PointInput, _CODE_BITS, _as_coord_array, descend_cells
 
 #: Per-query cap on covering grid cells.  The cover depth is the
 #: deepest level whose cell-box stays under this; finer covers trade

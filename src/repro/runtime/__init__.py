@@ -3,10 +3,12 @@ metrics.
 
 The harness and every table/figure/benchmark route their trial loops
 through :func:`execute`, which consults the on-disk
-:class:`ResultCache`, runs the trials serially or in chunks on a plain
-process pool, and records a :class:`RunReport`'s worth of metrics.
-Trials run on the vectorized census kernel by default
-(``engine="vector"``); the object-tree engine is the parity oracle.
+:class:`ResultCache`, splits the trials into chunks of bounded size,
+runs each chunk through the one trial body (:func:`build_trials`)
+serially or on a plain process pool, and records a :class:`RunReport`'s
+worth of metrics.  On the default ``engine="vector"`` a chunk is one
+batched census-kernel call; the object-tree engine is the parity
+oracle.
 ``runtime_session`` scopes a :class:`RuntimeConfig` over a whole
 command so ``--workers`` and cache flags need no per-function
 plumbing.
@@ -21,7 +23,6 @@ from .executor import (
     TrialResult,
     active_config,
     build_trials,
-    build_trials_from_arrays,
     execute,
     plan_chunks,
     runtime_session,
@@ -51,7 +52,6 @@ __all__ = [
     "TrialResult",
     "active_config",
     "build_trials",
-    "build_trials_from_arrays",
     "default_cache_dir",
     "execute",
     "known_generators",

@@ -5,26 +5,29 @@
 
 1. **cache** — if the active config enables caching and a valid entry
    exists, no trial runs at all;
-2. **serial** — ``workers <= 1`` runs in-process through
-   :func:`build_trials`, one trial at a time.  The default ``vector``
-   engine draws each trial's points with ``generate_array`` and hands
-   them to one :func:`repro.kernels.vector_census` call; the ``object``
-   engine builds a real :class:`PRQuadtree`, the parity oracle;
-3. **process pool** — with ``workers > 1`` the trial range is split
-   into chunks (:func:`plan_chunks`) and each chunk goes to a worker of
-   one ``ProcessPoolExecutor`` (one per :func:`runtime_session`, kept
-   warm across calls; an ad-hoc config gets one per call).  A worker
-   draws its chunk's points itself and runs them through
-   :func:`build_trials_from_arrays`, so a vector chunk is one batched
-   :func:`repro.kernels.vector_census_batch` call.  One failure rule:
-   a chunk left without an outcome — the pool could not be created, a
-   worker died, or the chunk raised in its worker — runs in-process
-   through :func:`build_trials` in mode ``degraded``.  Trials are
-   deterministic, so the rescue gives the pool's result.  Traced runs
-   give every worker its own :class:`~repro.obs.Tracer`; the snapshots
-   ride home with each chunk and graft onto the coordinator's trace as
-   ``worker.N`` subtrees, next to utilization gauges (busy fraction
-   per worker, straggler ratio, rescue fraction).
+2. **chunks** — the trial range is split into chunks
+   (:func:`plan_chunks`) of at most :data:`CHUNK_POINTS` points each,
+   and every chunk runs through the one trial body,
+   :func:`build_trials`: it draws the chunk's points with
+   ``generate_array``, and the default ``vector`` engine censuses them
+   with one :func:`repro.kernels.vector_census_batch` call (one
+   :func:`repro.kernels.vector_census` call for a one-trial chunk),
+   while the
+   ``object`` engine builds a real :class:`PRQuadtree` per trial, the
+   parity oracle;
+3. **serial or pool** — ``workers <= 1`` runs the chunks in-process in
+   order.  With ``workers > 1`` each chunk goes to a worker of one
+   ``ProcessPoolExecutor`` (one per :func:`runtime_session`, kept warm
+   across calls; an ad-hoc config gets one per call), which returns the
+   chunk's :class:`TrialResult`.  One failure rule: a chunk left
+   without an outcome — the pool could not be created, a worker died,
+   or the chunk raised in its worker — runs in-process in mode
+   ``degraded``.  Trials are deterministic, so the rescue gives the
+   pool's result.  Traced runs give every worker its own
+   :class:`~repro.obs.Tracer`; the snapshots ride home with each chunk
+   and graft onto the coordinator's trace as ``worker.N`` subtrees,
+   next to utilization gauges (busy fraction per worker, straggler
+   ratio, rescue fraction).
 
 Every path preserves the harness's seed-stream contract: trial ``t``
 uses generator seed ``spec.seed + t``, and partial results merge in
@@ -95,7 +98,7 @@ class TrialResult:
         self.depth_censuses.extend(other.depth_censuses)
         self.area_occupancy.extend(other.area_occupancy)
 
-    # -- serialization (cache entries, worker transport) ---------------
+    # -- serialization (cache entries) ---------------------------------
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready representation; exact under a JSON round trip
@@ -157,8 +160,7 @@ class ChunkOutcome:
     """What one chunk of trials produced (picklable worker return)."""
 
     start: int
-    trials: int
-    payload: Dict[str, Any]
+    result: TrialResult
     wall_time: float
     #: worker process id — chunks from the same pool worker share one,
     #: which is how the coordinator groups per-worker telemetry
@@ -176,6 +178,12 @@ class ChunkOutcome:
 ENGINES = ("object", "vector")
 
 
+#: Most points one chunk draws and censuses at once.  The batched
+#: census peaks at about 130 bytes a point, so this bounds a chunk's
+#: working set — and a run's peak memory — whatever the row size.
+CHUNK_POINTS = 4096
+
+
 def build_trials(
     spec: ExperimentSpec,
     start: int,
@@ -185,20 +193,21 @@ def build_trials(
 ) -> TrialResult:
     """Run trials ``start .. start+count-1`` of ``spec`` in-process.
 
-    This is *the* trial loop — serial execution, the in-process rescue
-    of pool chunks, and the harness's untagged generator factories all
-    funnel through it.  Trial ``t`` draws from ``make_generator(t)``,
-    by default ``spec.make_generator`` (seed ``spec.seed + t``); a
-    caller that passes its own takes only the tree parameters from
-    ``spec``.  ``engine`` picks how each trial's census is computed:
-    ``"object"`` builds a real :class:`PRQuadtree` (the parity oracle,
-    and the only engine that can enumerate leaf rectangles),
-    ``"vector"`` runs the Morton-code kernel
-    (:func:`repro.kernels.vector_census`) on each trial's
-    ``generate_array`` rows — bit-identical censuses, no tree and no
-    :class:`Point` objects.  Specs that collect leaf areas silently
-    use the object engine regardless, since the kernel has no blocks
-    to measure.
+    This is *the* trial body — serial chunks, pool workers, the
+    in-process rescue of pool chunks, and the harness's untagged
+    generator factories all call it.  Trial ``t`` draws its points with
+    ``make_generator(t).generate_array`` (bit-identical to
+    ``generate``), by default ``spec.make_generator`` (seed
+    ``spec.seed + t``); a caller that passes its own takes only the
+    tree parameters from ``spec``.  ``engine`` picks how the chunk's
+    ``(count, n_points, dim)`` rows are censused: ``"vector"`` makes
+    one :func:`repro.kernels.vector_census_batch` call for all of them
+    (:func:`repro.kernels.vector_census` for a one-trial chunk) — no
+    tree and no :class:`Point` objects — and ``"object"`` builds
+    one real :class:`PRQuadtree` per row (the parity oracle, and the
+    only engine that can enumerate leaf rectangles).  Specs that
+    collect leaf areas silently use the object engine regardless,
+    since the kernel has no blocks to measure.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -206,58 +215,42 @@ def build_trials(
         )
     if make_generator is None:
         make_generator = spec.make_generator
-    if engine == "vector" and not spec.collect_area:
-        return _build_trials_vector(spec, start, count, make_generator)
-    result = TrialResult.empty(spec.capacity)
     bounds = spec.bounds_rect()
-    for trial in range(start, start + count):
-        generator = make_generator(trial)
-        _object_trial(spec, bounds, generator.generate(spec.n_points), result)
-    return result
-
-
-def build_trials_from_arrays(
-    spec: ExperimentSpec,
-    start: int,
-    count: int,
-    engine: str,
-    arrays: np.ndarray,
-) -> TrialResult:
-    """Run trials ``start .. start+count-1`` from pre-generated points.
-
-    ``arrays`` is a ``(count, n_points, dim)`` float64 tensor whose row
-    ``i`` holds exactly what ``spec.make_generator(start + i)
-    .generate(spec.n_points)`` would produce (pool workers draw it with
-    :func:`_chunk_arrays`).  Results are bit-identical to
-    :func:`build_trials` for the same range: the object engine rebuilds
-    :class:`Point` objects from the rows (float64 round-trips exactly),
-    and the vector engine feeds the whole chunk to one batched kernel
-    call (:func:`repro.kernels.vector_census_batch`).
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    if arrays.shape[0] != count:
-        raise ValueError(
-            f"arrays hold {arrays.shape[0]} trials, chunk needs {count}"
-        )
-    if engine == "vector" and not spec.collect_area:
-        return _batch_trials_vector(spec, arrays)
-    result = TrialResult.empty(spec.capacity)
-    bounds = spec.bounds_rect()
+    # the object tree defaults omitted bounds to the unit square
+    box = bounds or Rect.unit(2)
+    rows = np.empty((count, spec.n_points, box.dim), dtype=np.float64)
     for i in range(count):
-        # .tolist() yields Python floats: the exact values the
-        # generator produced, so the tree sees identical points
-        points = [Point(*row) for row in arrays[i].tolist()]
-        _object_trial(spec, bounds, points, result)
+        rows[i] = make_generator(start + i).generate_array(spec.n_points)
+    result = TrialResult.empty(spec.capacity)
+    if engine == "object" or spec.collect_area:
+        for row in rows:
+            # generate_array rows are already NaN-checked
+            points = [Point._trusted(tuple(c)) for c in row.tolist()]
+            _object_trial(spec, bounds, points, result)
+        return result
+    # looked up at call time, so a wrapper set on the package fires
+    from ..kernels import vector_census, vector_census_batch
+
+    census = dict(bounds=box, dim=box.dim, max_depth=spec.max_depth)
+    with obs.span("trial.build"):
+        if count == 1:
+            # kept while benchmarks/e2e/spans.py:install_paper wraps
+            # vector_census and its self-test needs that wrapper to fire
+            partitions = [vector_census(rows[0], spec.capacity, **census)]
+        else:
+            partitions = vector_census_batch(rows, spec.capacity, **census)
+    with obs.span("trial.census"):
+        for partition in partitions:
+            result.accumulator.add(partition.occupancy_census())
+            if spec.collect_depth:
+                result.depth_censuses.append(partition.depth_census())
     return result
 
 
 def _object_trial(
     spec: ExperimentSpec,
     bounds: Optional[Rect],
-    points: Any,
+    points: List[Point],
     result: TrialResult,
 ) -> None:
     """One object-engine trial: build the tree, fold its censuses in."""
@@ -285,79 +278,6 @@ def _object_trial(
         obs.gauge("tree.max_depth", tree.max_depth_reached)
 
 
-def _build_trials_vector(
-    spec: ExperimentSpec,
-    start: int,
-    count: int,
-    make_generator: Callable[[int], PointGenerator],
-) -> TrialResult:
-    """The vector-engine trial loop: same seed contract, same spans,
-    censuses bit-identical to the object loop's — but each trial is one
-    kernel call over the generator's ``generate_array`` rows instead of
-    a tree, so no :class:`Point` is ever built."""
-    from ..kernels import vector_census
-
-    result = TrialResult.empty(spec.capacity)
-    # the object tree defaults omitted bounds to the unit square
-    bounds = spec.bounds_rect() or Rect.unit(2)
-    for trial in range(start, start + count):
-        generator = make_generator(trial)
-        with obs.span("trial.build"):
-            partition = vector_census(
-                generator.generate_array(spec.n_points),
-                spec.capacity,
-                bounds=bounds,
-                dim=bounds.dim,
-                max_depth=spec.max_depth,
-            )
-        with obs.span("trial.census"):
-            result.accumulator.add(partition.occupancy_census())
-            if spec.collect_depth:
-                result.depth_censuses.append(partition.depth_census())
-    return result
-
-
-def _batch_trials_vector(
-    spec: ExperimentSpec, arrays: np.ndarray
-) -> TrialResult:
-    """The batched vector path: one kernel call for the whole chunk.
-
-    Spans keep the per-trial names (``trial.build`` around the batched
-    kernel, ``trial.census`` around the fold) so worker subtrees stay
-    comparable across paths — but each appears once per *chunk* here.
-    """
-    from ..kernels import vector_census_batch
-
-    result = TrialResult.empty(spec.capacity)
-    bounds = spec.bounds_rect() or Rect.unit(2)
-    with obs.span("trial.build"):
-        partitions = vector_census_batch(
-            np.asarray(arrays, dtype=np.float64),
-            spec.capacity,
-            bounds=bounds,
-            dim=bounds.dim,
-            max_depth=spec.max_depth,
-        )
-    with obs.span("trial.census"):
-        for partition in partitions:
-            result.accumulator.add(partition.occupancy_census())
-            if spec.collect_depth:
-                result.depth_censuses.append(partition.depth_census())
-    return result
-
-
-def _chunk_arrays(spec: ExperimentSpec, start: int, count: int) -> np.ndarray:
-    """The ``(count, n_points, dim)`` rows of trials ``start ..
-    start+count-1``, each drawn with its own seed (``spec.seed + t``)."""
-    dim = (spec.bounds_rect() or Rect.unit(2)).dim
-    arrays = np.empty((count, spec.n_points, dim), dtype=np.float64)
-    for i in range(count):
-        arrays[i] = spec.make_generator(start + i).generate_array(
-            spec.n_points
-        )
-    return arrays
-
-
 def _run_chunk(
     spec: ExperimentSpec,
     start: int,
@@ -365,9 +285,8 @@ def _run_chunk(
     engine: str = "object",
     traced: bool = False,
 ) -> ChunkOutcome:
-    """Worker entry point: draw the chunk's points, run its trials
-    through :func:`build_trials_from_arrays`, and return a picklable
-    outcome.
+    """Worker entry point: run the chunk through :func:`build_trials`
+    and return a picklable outcome.
 
     With ``traced=True`` (the coordinator's run was traced) the chunk
     runs under its own worker-local :class:`Tracer` and ships the
@@ -375,24 +294,17 @@ def _run_chunk(
     snapshots into ``worker.N`` subtrees (see ``_merge_worker_traces``).
     """
     began = time.perf_counter()
-
-    def _work() -> TrialResult:
-        return build_trials_from_arrays(
-            spec, start, count, engine, _chunk_arrays(spec, start, count)
-        )
-
     trace: Optional[Dict[str, Any]] = None
     if traced:
         tracer = Tracer()
         with obs.tracing(tracer):
-            result = _work()
+            result = build_trials(spec, start, count, engine)
         trace = tracer.to_dict()
     else:
-        result = _work()
+        result = build_trials(spec, start, count, engine)
     return ChunkOutcome(
         start=start,
-        trials=count,
-        payload=result.to_payload(),
+        result=result,
         wall_time=time.perf_counter() - began,
         pid=os.getpid(),
         trace=trace,
@@ -400,33 +312,32 @@ def _run_chunk(
 
 
 def plan_chunks(
-    trials: int, workers: int, chunk_size: Optional[int] = None
+    trials: int, workers: int, n_points: int
 ) -> List[Tuple[int, int]]:
-    """Split ``trials`` into contiguous ``(start, count)`` chunks.
+    """Split ``trials`` of ``n_points`` points each into contiguous
+    ``(start, count)`` chunks.
 
-    Defaults to ~4 chunks per worker so slow chunks load-balance, while
-    keeping per-chunk scheduling overhead amortized over several trees.
-    A runt tail (smaller than half ``chunk_size``) merges into the
-    previous chunk — a 1–2-trial straggler can't amortize its
-    scheduling cost, and the merged chunk stays under 1.5×
-    ``chunk_size``.  Plans always cover ``0..trials`` exactly, in
-    order, without overlap (property-tested).
+    A chunk holds at most ``CHUNK_POINTS // n_points`` trials (at least
+    one), which bounds what one :func:`build_trials` call holds in
+    memory; a pool plan also aims at ~4 chunks per worker so slow
+    chunks load-balance.  A runt tail (smaller than half the chunk
+    size) merges into the previous chunk — a 1–2-trial straggler can't
+    amortize its scheduling cost — so a chunk of more than one trial
+    stays under 1.5 × ``CHUNK_POINTS`` points.  Plans always cover
+    ``0..trials`` exactly, in order, without overlap (property-tested).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size is None:
-        # one chunk per serial run; otherwise ~4 chunks per worker
-        chunk_size = trials if workers == 1 \
-            else max(1, -(-trials // (workers * 4)))
-    elif chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    size = max(1, CHUNK_POINTS // max(1, n_points))
+    if workers > 1:
+        size = min(size, -(-trials // (workers * 4)))
     chunks = [
-        (start, min(chunk_size, trials - start))
-        for start in range(0, trials, chunk_size)
+        (start, min(size, trials - start))
+        for start in range(0, trials, size)
     ]
-    if len(chunks) >= 2 and chunks[-1][1] * 2 < chunk_size:
+    if len(chunks) >= 2 and chunks[-1][1] * 2 < size:
         start, count = chunks[-2]
         chunks[-2] = (start, count + chunks[-1][1])
         chunks.pop()
@@ -493,7 +404,6 @@ class RuntimeConfig:
     workers: int = 1
     use_cache: bool = False
     cache_dir: Union[str, None] = None
-    chunk_size: Optional[int] = None
     verbose: bool = False
     #: Census engine: ``"vector"`` runs the Morton-code kernel,
     #: ``"object"`` builds real trees (the parity oracle).  Deliberately
@@ -700,7 +610,7 @@ def _execute_fresh(
                 file=sys.stderr,
             )
     workers = max(1, config.workers)
-    chunks = plan_chunks(spec.trials, workers, config.chunk_size)
+    chunks = plan_chunks(spec.trials, workers, spec.n_points)
     if workers <= 1 or len(chunks) <= 1:
         return _run_serial(spec, chunks, collector, config.engine)
     return _merge_outcomes(
@@ -778,7 +688,7 @@ def _run_pool(
                 rescued.append((start, count))
                 continue
             outcomes.append(outcome)
-            collector.record_chunk(outcome.trials, outcome.wall_time, "pool")
+            collector.record_chunk(count, outcome.wall_time, "pool")
             # pool chunks time themselves in the worker; fold the
             # measured duration into the coordinator's span tree
             obs.record("chunk.pool", outcome.wall_time)
@@ -796,8 +706,7 @@ def _run_pool(
                 result = build_trials(spec, start, count, config.engine)
             wall = time.perf_counter() - began
             outcomes.append(ChunkOutcome(
-                start=start, trials=count, payload=result.to_payload(),
-                wall_time=wall,
+                start=start, result=result, wall_time=wall,
             ))
             collector.record_chunk(count, wall, "degraded")
             rescue_s += wall
@@ -867,6 +776,5 @@ def _merge_outcomes(
     the serial path element for element."""
     result = TrialResult.empty(spec.capacity)
     for outcome in sorted(outcomes, key=lambda o: o.start):
-        partial_spec = spec.with_trials(outcome.trials)
-        result.merge(TrialResult.from_payload(partial_spec, outcome.payload))
+        result.merge(outcome.result)
     return result

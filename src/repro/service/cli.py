@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="target ops/sec (default: unthrottled)")
     load.add_argument("--size", type=int, default=500,
                       help="churn live-set size (default: %(default)s)")
-    load.add_argument("--seed", type=int, default=1987,
+    # not --preload-seed's default: the trace draws uniform points
+    # from its seed, so equal seeds would re-insert the preload
+    load.add_argument("--seed", type=int, default=1988,
                       help="trace seed (default: %(default)s)")
     load.add_argument("--dim", type=int, default=2,
                       help="point dimension (default: %(default)s)")

@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import obs
 from ..geometry import Point
-from ..kernels.queries import PointInput
+from ..kernels.census import PointInput
 from ..storage.page import PageFullError
 from ..storage.paged_tree import PagedPRQuadtree
 from .monitor import DEFAULT_THRESHOLD, DriftMonitor, DriftSample

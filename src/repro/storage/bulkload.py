@@ -42,8 +42,9 @@ import numpy as np
 
 from .. import obs
 from ..geometry import Point, Rect, interleave_many
-from ..kernels.census import _CODE_BITS, _as_coord_array, descend_cells
-from ..kernels.queries import PointInput
+from ..kernels.census import (
+    PointInput, _CODE_BITS, _as_coord_array, descend_cells,
+)
 from .page import pack_pages
 from .pagefile import DEFAULT_PAGE_SIZE, PageFile
 from .paged_tree import (
@@ -130,8 +131,9 @@ def bulk_load_paged(
 
         def fill(out: np.ndarray, first: int) -> None:
             run = slice(first, first + len(out))
-            out[:] = pack_pages(
-                out.shape[1], heads[run], records, starts[run], stops[run]
+            pack_pages(
+                out.shape[1], heads[run], records, starts[run], stops[run],
+                out=out,
             )
 
         pagefile = PageFile.create(

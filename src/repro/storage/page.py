@@ -226,6 +226,7 @@ def pack_pages(
     records: np.ndarray,
     starts: np.ndarray,
     stops: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Payloads of fresh pages, one row of ``size`` bytes per page.
 
@@ -237,6 +238,8 @@ def pack_pages(
     ``SlottedPage.insert``'s message, for the first page whose records
     would not fit.  Pages are laid out in groups of equal occupancy:
     header and slot directory are the same for every page of a group.
+    ``out``, when given, is a zeroed ``(pages, size)`` ``uint8`` array
+    to lay the pages out in (and return) instead of a new one.
     """
     if size > _TOMBSTONE:
         raise ValueError(f"page payload of {size} bytes exceeds the u16 layout")
@@ -254,7 +257,8 @@ def pack_pages(
         raise PageFullError(
             f"record of {length} bytes does not fit ({free} free of {size})"
         )
-    out = np.zeros((counts.size, size), dtype=np.uint8)
+    if out is None:
+        out = np.zeros((counts.size, size), dtype=np.uint8)
     top = size - h
     out[:, top:] = heads
     for k in np.unique(counts).tolist():

@@ -19,14 +19,14 @@ from repro.bench import (
 )
 
 STAGES = (
-    "build", "census", "parallel", "warm_cache", "storage", "kernels",
+    "build", "census", "warm_cache", "storage", "kernels",
     "queries", "serve",
 )
 
 
 @pytest.fixture(scope="module")
 def snapshot():
-    return run_suite(smoke=True, workers=2)
+    return run_suite(smoke=True)
 
 
 class TestSuite:
@@ -58,12 +58,6 @@ class TestSuite:
         spans = census["trace"]["spans"]
         assert spans["census.occupancy"]["count"] == \
             census["params"]["repeats"]
-
-    def test_parallel_stage(self, snapshot):
-        parallel = snapshot["stages"]["parallel"]
-        assert parallel["serial_s"] > 0
-        assert parallel["pool_s"] > 0
-        assert parallel["speedup"] > 0
 
     def test_warm_cache_stage(self, snapshot):
         warm = snapshot["stages"]["warm_cache"]
@@ -153,26 +147,6 @@ class TestSuite:
         gauges = snapshot["stages"]["build"]["trace"]["gauges"]
         assert gauges["stage_peak_rss_kb"]["last"] > 0
 
-    def test_pool_stage_trace_has_worker_subtrees(self, snapshot):
-        parallel = snapshot["stages"]["parallel"]
-        pool = parallel["pool_trace"]
-        build = pool["spans"]["runtime.execute"]["children"]["runtime.build"]
-        workers = [
-            name for name in build["children"] if name.startswith("worker.")
-        ]
-        assert workers, "traced pool run should merge worker telemetry"
-        # the pinned engine is vector, so workers count kernel censuses
-        # (one per trial) instead of trees
-        assert parallel["engine"] == "vector"
-        assert pool["counters"]["kernel.census"] == \
-            parallel["params"]["trials"]
-
-    def test_parallel_stage_reports_object_cross_check(self, snapshot):
-        parallel = snapshot["stages"]["parallel"]
-        assert parallel["object_serial_s"] > 0
-        assert parallel["object_pool_s"] > 0
-        assert parallel["object_speedup"] > 0
-
     def test_profiles_are_pinned(self):
         # a profile edit must be a deliberate BENCH_VERSION bump
         assert PROFILES["full"]["build"] == {
@@ -188,10 +162,6 @@ class TestSuite:
         assert PROFILES["full"]["queries"] == {
             "capacity": 8, "sizes": [2000, 20000], "queries": 256,
             "k": 8, "side": 0.1,
-        }
-        assert PROFILES["full"]["parallel"] == {
-            "capacity": 8, "n_points": 2000, "trials": 32,
-            "engine": "vector", "chunk_size": 8,
         }
         assert PROFILES["full"]["serve"] == {
             "capacity": 4, "ops": 1000, "size": 300,
@@ -209,7 +179,6 @@ class TestReporting:
         text = summarize(snapshot)
         assert "trees/s" in text
         assert "census/s" in text
-        assert "speedup" in text
         assert "warmup" in text
         assert "inserts/s" in text
         assert "warm pool" in text
@@ -243,7 +212,7 @@ class TestTraceBundle:
         assert bundle["bench_version"] == BENCH_VERSION
         stages = bundle["stages"]
         for name in ("build", "census", "warm_cache", "storage", "kernels",
-                     "serve", "parallel.serial", "parallel.pool"):
+                     "serve", "queries"):
             assert "spans" in stages[name], name
 
     def test_bundle_is_diffable_against_itself(self, snapshot, tmp_path):
@@ -252,16 +221,17 @@ class TestTraceBundle:
         path = write_trace_bundle(snapshot, tmp_path / "bundle.json")
         assert obs_main(["diff", str(path), str(path)]) == 0
 
-    def test_render_traces_shows_worker_trees(self, snapshot):
+    def test_render_traces_shows_every_stage_tree(self, snapshot):
         text = render_traces(snapshot)
-        assert "=== parallel.pool ===" in text
-        assert "worker.0" in text
+        for name in STAGES:
+            assert f"=== {name} ===" in text
+        assert "kernel.census" in text
 
 
 class TestCli:
     def test_main_writes_snapshot_and_trace_bundle(self, tmp_path, capsys):
         out = tmp_path / "BENCH_cli.json"
-        assert main(["--smoke", "--workers", "2", "--out", str(out)]) == 0
+        assert main(["--smoke", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["profile"] == "smoke"
         bundle_path = tmp_path / "BENCH_TRACE_cli.json"
         assert "build" in json.loads(bundle_path.read_text())["stages"]
@@ -270,27 +240,21 @@ class TestCli:
         assert str(out) in printed
         assert str(bundle_path) in printed
 
-    def test_main_verbose_prints_worker_trees(self, tmp_path, capsys):
-        assert main(["--smoke", "--workers", "2", "--out", "-",
-                     "--verbose"]) == 0
+    def test_main_verbose_prints_stage_trees(self, tmp_path, capsys):
+        assert main(["--smoke", "--out", "-", "--verbose"]) == 0
         printed = capsys.readouterr().out
-        assert "=== parallel.pool ===" in printed
-        assert "worker.0" in printed
+        assert "=== kernels ===" in printed
+        assert "kernel.census" in printed
 
     def test_main_dash_skips_writing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["--smoke", "--workers", "2", "--out", "-"]) == 0
+        assert main(["--smoke", "--out", "-"]) == 0
         assert not list(tmp_path.iterdir())
-
-    def test_main_rejects_bad_workers(self):
-        with pytest.raises(SystemExit):
-            main(["--smoke", "--workers", "0"])
 
     def test_repro_cli_dispatches_bench(self, tmp_path, capsys):
         from repro.__main__ import main as repro_main
 
         out = tmp_path / "BENCH_dispatch.json"
-        code = repro_main(["bench", "--smoke", "--workers", "2",
-                           "--out", str(out)])
+        code = repro_main(["bench", "--smoke", "--out", str(out)])
         assert code == 0
         assert out.exists()

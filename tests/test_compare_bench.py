@@ -188,6 +188,6 @@ class TestMain:
         # a freshly generated snapshot never regresses against itself
         from repro.bench import run_suite, write_snapshot
 
-        snap = run_suite(smoke=True, workers=1)
+        snap = run_suite(smoke=True)
         path = write_snapshot(snap, tmp_path / "BENCH_self.json")
         assert compare_bench.main([str(path), str(path)]) == 0

@@ -118,9 +118,12 @@ def test_serve_start_without_db_loads_no_run_database(tmp_path, flag):
     assert out.rsplit("---", 1)[1].strip() == repr(sorted(SERVED_CORE))
 
 
-#: Modules only the paper toolkit and the load generator use.
+#: Modules only the paper toolkit, the query kernels and the load
+#: generator use.
 UNSERVED = (
     "repro.quadtree.pr", "repro.quadtree.pmr", "repro.service.loadgen",
+    "repro.kernels.queries", "repro.workloads.churn",
+    "repro.workloads.queries",
 )
 
 
@@ -171,7 +174,9 @@ def test_gammaln_is_bound_to_the_ufunc_after_first_call():
     assert fagin.gammaln is ufunc
 
 
-@pytest.mark.parametrize("package", ["repro.quadtree", "repro.service"])
+@pytest.mark.parametrize("package", [
+    "repro.kernels", "repro.quadtree", "repro.service", "repro.workloads",
+])
 def test_lazy_subpackage_resolves_every_name(package):
     module = importlib.import_module(package)
     for name in module.__all__:

@@ -6,7 +6,7 @@ import pytest
 from repro.core import StochasticPopulation
 from repro.core.fagin import expected_leaves_at_depth_poisson
 from repro.experiments import render_semilog_ascii
-from repro.geometry import MortonIndex, Point, Rect, morton_key
+from repro.geometry import Point, Rect
 from repro.gridfile import GridFile
 from repro.quadtree import OccupancyCensus, PMRQuadtree, PRQuadtree
 from repro.workloads import (
@@ -118,23 +118,6 @@ class TestWorkloadStreams:
         uniform.insert_many(UniformPoints(seed=3).generate(200))
         assert diag.height() > uniform.height()
         diag.validate()
-
-
-class TestMortonOrdering:
-    def test_points_returned_in_z_order(self):
-        index = MortonIndex(bits=10)
-        index.insert_many(UniformPoints(seed=5).generate(100))
-        codes = [morton_key(p, bits=10) for p in index.points()]
-        assert codes == sorted(codes)
-
-    def test_incremental_equals_bulk(self):
-        pts = UniformPoints(seed=6).generate(60)
-        one = MortonIndex()
-        for p in pts:
-            one.insert(p)
-        bulk = MortonIndex()
-        bulk.insert_many(pts)
-        assert one.points() == bulk.points()
 
 
 class TestStochasticOctree:

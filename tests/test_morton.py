@@ -1,11 +1,10 @@
-"""Unit and property tests for Morton codes and the Morton index."""
+"""Unit and property tests for Morton codes."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
-    MortonIndex,
     Point,
     Rect,
     deinterleave,
@@ -15,7 +14,6 @@ from repro.geometry import (
     quantize,
 )
 from repro.quadtree import PRQuadtree
-from repro.workloads import UniformPoints
 
 unit_coord = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
 points = st.builds(Point, unit_coord, unit_coord)
@@ -210,58 +208,3 @@ class TestPrefixQuadtreeEquivalence:
     def test_prefix_validation(self):
         with pytest.raises(ValueError):
             prefix_at_depth(0, 5, 2, 4)
-
-
-class TestMortonIndex:
-    def test_insert_and_order(self):
-        index = MortonIndex()
-        for p in UniformPoints(seed=0).generate(100):
-            index.insert(p)
-        index.validate()
-        assert len(index) == 100
-
-    def test_bulk_insert(self):
-        index = MortonIndex()
-        index.insert_many(UniformPoints(seed=1).generate(200))
-        index.validate()
-        assert len(index) == 200
-
-    def test_bits_validation(self):
-        with pytest.raises(ValueError):
-            MortonIndex(bits=0)
-        with pytest.raises(ValueError):
-            MortonIndex(bits=40, dim=2)  # 80 bits > 62
-
-    def test_range_search_matches_brute_force(self):
-        pts = UniformPoints(seed=2).generate(400)
-        index = MortonIndex()
-        index.insert_many(pts)
-        query = Rect(Point(0.3, 0.35), Point(0.62, 0.8))
-        assert set(index.range_search(query)) == {
-            p for p in pts if query.contains_point(p)
-        }
-
-    def test_range_disjoint_query(self):
-        index = MortonIndex(bounds=Rect(Point(0, 0), Point(1, 1)))
-        index.insert(Point(0.5, 0.5))
-        outside = Rect(Point(2, 2), Point(3, 3))
-        assert index.range_search(outside) == []
-
-    def test_range_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            MortonIndex().range_search(Rect.unit(3))
-
-    @given(st.lists(points, min_size=0, max_size=40, unique=True),
-           st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_range_property(self, pts, data):
-        index = MortonIndex()
-        index.insert_many(pts)
-        x0 = data.draw(unit_coord)
-        y0 = data.draw(unit_coord)
-        x1 = data.draw(st.floats(min_value=x0 + 1e-6, max_value=1.0))
-        y1 = data.draw(st.floats(min_value=y0 + 1e-6, max_value=1.0))
-        query = Rect(Point(x0, y0), Point(x1, y1))
-        assert set(index.range_search(query)) == {
-            p for p in pts if query.contains_point(p)
-        }

@@ -33,8 +33,9 @@ class TestExecutorSpans:
         assert execute_node.count == 1
         build = execute_node.children["runtime.build"]
         chunk = build.children["chunk.serial"]
-        assert chunk.children["trial.build"].count == SPEC.trials
-        assert chunk.children["trial.census"].count == SPEC.trials
+        # the vector engine censuses a chunk in one batched call
+        assert chunk.children["trial.build"].count == chunk.count
+        assert chunk.children["trial.census"].count == chunk.count
 
     def test_tree_counters_and_gauges(self):
         config = _traced_config(engine="object")
@@ -138,10 +139,11 @@ class TestWorkerTelemetry:
     """Pool workers run traced; their snapshots merge back as
     ``worker.N`` subtrees with utilization gauges."""
 
-    POOL_SPEC = ExperimentSpec(capacity=4, n_points=100, trials=4, seed=7)
+    # 16 trials on 2 workers plan 8 chunks of 2 (batched in the worker)
+    POOL_SPEC = ExperimentSpec(capacity=4, n_points=100, trials=16, seed=7)
 
     def _pooled(self):
-        config = _traced_config(workers=2, chunk_size=1)
+        config = _traced_config(workers=2)
         result = execute(self.POOL_SPEC, config)
         return config.tracer, result
 
@@ -155,8 +157,21 @@ class TestWorkerTelemetry:
         assert "trial.census" in w0.children
         assert w0.children["trial.build"].count >= 1
 
+    def test_workers_run_the_batched_census(self):
+        from repro.runtime import plan_chunks
+
+        t, result = self._pooled()
+        spec = self.POOL_SPEC
+        plan = plan_chunks(spec.trials, 2, spec.n_points)
+        assert all(count == 2 for _, count in plan)
+        # one vector_census_batch call per pooled chunk, counted in the
+        # workers and folded back into the coordinator's counters
+        assert t.counters["kernel.batches"] == len(plan)
+        assert t.counters["kernel.census"] == spec.trials
+        assert result.trials == spec.trials
+
     def test_worker_counters_fold_into_coordinator_totals(self):
-        config = _traced_config(workers=2, chunk_size=1, engine="object")
+        config = _traced_config(workers=2, engine="object")
         result = execute(self.POOL_SPEC, config)
         t = config.tracer
         # pre-v2, pooled traced runs reported tree.built == 0 because

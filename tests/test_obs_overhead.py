@@ -10,6 +10,7 @@ stable canary when wall-clock noise would drown a 5% macro signal.
 import time
 
 from repro import obs
+from repro.geometry import Point
 from repro.quadtree import PRQuadtree
 from repro.runtime import ExperimentSpec, TrialResult, build_trials
 from repro.service.telemetry import ServiceTelemetry
@@ -30,11 +31,11 @@ def _uninstrumented() -> TrialResult:
     result = TrialResult.empty(SPEC.capacity)
     bounds = SPEC.bounds_rect()
     for trial in range(SPEC.trials):
-        generator = SPEC.make_generator(trial)
+        rows = SPEC.make_generator(trial).generate_array(SPEC.n_points)
         tree = PRQuadtree(
             capacity=SPEC.capacity, bounds=bounds, max_depth=SPEC.max_depth
         )
-        tree.insert_many(generator.generate(SPEC.n_points))
+        tree.insert_many([Point._trusted(tuple(c)) for c in rows.tolist()])
         result.accumulator.add(tree.occupancy_census())
     return result
 

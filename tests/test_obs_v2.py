@@ -621,7 +621,7 @@ class TestPoolRescueFraction:
         if crash:
             monkeypatch.setattr(executor_module, "_run_chunk", _crashing)
         tracer = Tracer()
-        config = RuntimeConfig(workers=2, chunk_size=2, tracer=tracer)
+        config = RuntimeConfig(workers=2, tracer=tracer)
         execute(spec, config)
         return tracer
 

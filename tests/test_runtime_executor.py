@@ -20,10 +20,17 @@ from repro.runtime import (
     runtime_session,
 )
 from repro.runtime import executor as executor_module
+from repro.runtime.executor import CHUNK_POINTS
 
 SPEC = ExperimentSpec(capacity=2, n_points=60, trials=5, seed=3)
 SPEC_DEPTH = ExperimentSpec(
     capacity=2, n_points=60, trials=5, seed=3, collect_depth=True
+)
+# 16 trials on 2 workers plan 8 chunks of 2, so pool workers run the
+# batched census and the coordinator merges multi-trial outcomes
+POOL_SPEC = ExperimentSpec(capacity=2, n_points=60, trials=16, seed=3)
+POOL_SPEC_DEPTH = ExperimentSpec(
+    capacity=2, n_points=60, trials=16, seed=3, collect_depth=True
 )
 
 
@@ -71,57 +78,65 @@ class TestPlanChunks:
     def test_covers_every_trial_exactly_once(self):
         for trials in (1, 2, 7, 10, 33):
             for workers in (1, 2, 4):
-                chunks = plan_chunks(trials, workers)
-                covered = [
-                    t for start, count in chunks
-                    for t in range(start, start + count)
-                ]
-                assert covered == list(range(trials))
+                for n_points in (60, 1000, 5000):
+                    chunks = plan_chunks(trials, workers, n_points)
+                    covered = [
+                        t for start, count in chunks
+                        for t in range(start, start + count)
+                    ]
+                    assert covered == list(range(trials))
 
-    def test_explicit_chunk_size(self):
-        assert plan_chunks(10, 2, chunk_size=4) == [(0, 4), (4, 4), (8, 2)]
+    def test_points_constant_sets_chunk_size(self):
+        # CHUNK_POINTS // 1024 = 4 trials a chunk, serial or pooled
+        assert CHUNK_POINTS // 1024 == 4
+        assert plan_chunks(10, 1, 1024) == [(0, 4), (4, 4), (8, 2)]
+        assert plan_chunks(10, 2, 1024) == [(0, 2), (2, 2), (4, 2),
+                                             (6, 2), (8, 2)]
+        # a row over the constant runs one trial a chunk
+        assert plan_chunks(3, 1, CHUNK_POINTS + 1) == [(0, 1), (1, 1),
+                                                      (2, 1)]
+        # small rows: ~4 chunks per worker
+        assert plan_chunks(16, 2, 60) == [(s, 2) for s in range(0, 16, 2)]
 
     def test_single_worker_single_chunk_for_small_runs(self):
-        assert plan_chunks(3, 1) == [(0, 3)]
+        assert plan_chunks(3, 1, 60) == [(0, 3)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            plan_chunks(0, 1)
+            plan_chunks(0, 1, 60)
         with pytest.raises(ValueError):
-            plan_chunks(5, 0)
-        with pytest.raises(ValueError):
-            plan_chunks(5, 1, chunk_size=0)
+            plan_chunks(5, 0, 60)
 
     def test_runt_tail_merges_into_previous_chunk(self):
-        # tail of 1 < 4/2: merged, last chunk grows to 5
-        assert plan_chunks(9, 2, chunk_size=4) == [(0, 4), (4, 5)]
+        # 4 trials a chunk: a tail of 1 < 4/2 merges, the last grows to 5
+        assert plan_chunks(9, 1, 1024) == [(0, 4), (4, 5)]
         # tail of exactly half stays its own chunk
-        assert plan_chunks(10, 2, chunk_size=4) == [(0, 4), (4, 4), (8, 2)]
-        # a single runt chunk (trials < chunk_size) has nothing to
-        # merge into and survives
-        assert plan_chunks(1, 2, chunk_size=4) == [(0, 1)]
+        assert plan_chunks(10, 1, 1024) == [(0, 4), (4, 4), (8, 2)]
+        # a single runt chunk has nothing to merge into and survives
+        assert plan_chunks(1, 2, 1024) == [(0, 1)]
 
     @settings(max_examples=200, deadline=None)
     @given(
         trials=st.integers(min_value=1, max_value=500),
         workers=st.integers(min_value=1, max_value=16),
-        chunk_size=st.one_of(
-            st.none(), st.integers(min_value=1, max_value=64)
-        ),
+        n_points=st.integers(min_value=0, max_value=3 * CHUNK_POINTS),
     )
-    def test_plans_cover_exactly_in_order(self, trials, workers, chunk_size):
-        chunks = plan_chunks(trials, workers, chunk_size)
+    def test_plans_cover_exactly_in_order(self, trials, workers, n_points):
+        chunks = plan_chunks(trials, workers, n_points)
         # contiguous, in order, no overlap, exact coverage
         expected_start = 0
         for start, count in chunks:
             assert start == expected_start
             assert count >= 1
             expected_start = start + count
+            # bounded memory: at most 1.5x the points constant, unless
+            # the chunk is one trial
+            assert count == 1 or count * n_points <= 1.5 * CHUNK_POINTS
         assert expected_start == trials
         # no runt tail: the last chunk is either the only one or at
-        # least half the nominal size
-        if chunk_size is not None and len(chunks) >= 2:
-            assert chunks[-1][1] * 2 >= chunk_size
+        # least half the nominal (first) chunk's size
+        if len(chunks) >= 2:
+            assert chunks[-1][1] * 2 >= chunks[0][1]
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +245,28 @@ class TestExecuteSerial:
         assert report.cache_misses == 1
         assert all(c.mode == "serial" for c in report.chunks)
 
+    @pytest.mark.parametrize("trials, batches", [(8, 4), (7, 3)])
+    def test_vector_chunk_is_one_census_call(self, trials, batches):
+        from repro.obs import Tracer
+
+        # 1500 points: two trials a chunk, so 7 trials end in a
+        # one-trial chunk, which takes the single-trial kernel
+        spec = ExperimentSpec(
+            capacity=2, n_points=1500, trials=trials, seed=3
+        )
+        tracer = Tracer()
+        result = execute(spec, RuntimeConfig(engine="vector", tracer=tracer))
+        plan = plan_chunks(spec.trials, 1, spec.n_points)
+        assert len(plan) == 4
+        assert tracer.counters["kernel.batches"] == batches
+        spans = tracer.to_dict()["spans"]["runtime.execute"]["children"]
+        build = spans["runtime.build"]["children"]["chunk.serial"]
+        calls = build["children"]["trial.build"]["children"]
+        assert sum(c["count"] for c in calls.values()) == len(plan)
+        assert tracer.counters["kernel.census"] == spec.trials
+        serial = build_trials(spec, 0, spec.trials, "object")
+        _assert_same_result(result, serial)
+
     def test_default_config_when_none_active(self):
         assert active_config() is None
         result = execute(SPEC)
@@ -238,36 +275,38 @@ class TestExecuteSerial:
 
 class TestExecuteParallel:
     def test_pool_runs_and_matches_serial(self):
-        config = RuntimeConfig(workers=2, chunk_size=2)
-        result = execute(SPEC, config)
-        serial = execute(SPEC, RuntimeConfig(workers=1))
+        config = RuntimeConfig(workers=2)
+        result = execute(POOL_SPEC, config)
+        serial = execute(POOL_SPEC, RuntimeConfig(workers=1))
         assert result.accumulator.count_sums == serial.accumulator.count_sums
         report = config.report()
         assert report.workers == 2
-        assert sum(c.trials for c in report.chunks) == SPEC.trials
+        assert sum(c.trials for c in report.chunks) == POOL_SPEC.trials
         assert all(c.mode == "pool" for c in report.chunks)
 
     def test_failed_chunk_is_rescued_in_process(self, monkeypatch):
         from repro.obs import Tracer
 
-        spec = SPEC_DEPTH
+        spec = POOL_SPEC_DEPTH
         monkeypatch.setattr(
             executor_module, "_run_chunk", _failing_first_chunk
         )
         tracer = Tracer()
-        config = RuntimeConfig(workers=2, chunk_size=2, tracer=tracer)
+        config = RuntimeConfig(workers=2, tracer=tracer)
         result = execute(spec, config)
         _assert_same_result(result, build_trials(spec, 0, spec.trials))
+        plan = plan_chunks(spec.trials, 2, spec.n_points)
+        assert plan == [(s, 2) for s in range(0, 16, 2)]
         modes = [c.mode for c in config.report().chunks]
-        assert sorted(modes) == ["degraded", "pool", "pool"]
+        assert sorted(modes) == ["degraded"] + ["pool"] * (len(plan) - 1)
         assert tracer.counters["runtime.degraded"] == 1
         # a chunk's own exception leaves the pool usable
         assert "runtime.pool_broken" not in tracer.counters
 
     def test_permanent_chunk_failure_degrades_in_process(self, monkeypatch):
-        spec = SPEC_DEPTH
+        spec = POOL_SPEC_DEPTH
         monkeypatch.setattr(executor_module, "_run_chunk", _always_failing)
-        config = RuntimeConfig(workers=2, chunk_size=2)
+        config = RuntimeConfig(workers=2)
         result = execute(spec, config)
         _assert_same_result(result, build_trials(spec, 0, spec.trials))
         assert all(c.mode == "degraded" for c in config.report().chunks)
@@ -279,13 +318,13 @@ class TestExecuteParallel:
         monkeypatch.setattr(executor_module, "_run_chunk", _always_failing)
         monkeypatch.setattr(executor_module, "build_trials", broken_build)
         with pytest.raises(RuntimeError, match="genuine bug"):
-            execute(SPEC, RuntimeConfig(workers=2, chunk_size=2))
+            execute(POOL_SPEC, RuntimeConfig(workers=2))
 
     def test_worker_crash_degrades_gracefully(self, monkeypatch):
         monkeypatch.setattr(executor_module, "_run_chunk", _crashing)
-        config = RuntimeConfig(workers=2, chunk_size=2)
-        result = execute(SPEC, config)
-        serial = build_trials(SPEC, 0, SPEC.trials)
+        config = RuntimeConfig(workers=2)
+        result = execute(POOL_SPEC, config)
+        serial = build_trials(POOL_SPEC, 0, POOL_SPEC.trials)
         assert result.accumulator.count_sums == serial.accumulator.count_sums
         assert any(c.mode == "degraded" for c in config.report().chunks)
 
@@ -296,9 +335,9 @@ class TestExecuteParallel:
         monkeypatch.setattr(
             executor_module, "ProcessPoolExecutor", no_pool
         )
-        config = RuntimeConfig(workers=4, chunk_size=2)
-        result = execute(SPEC, config)
-        serial = build_trials(SPEC, 0, SPEC.trials)
+        config = RuntimeConfig(workers=4)
+        result = execute(POOL_SPEC, config)
+        serial = build_trials(POOL_SPEC, 0, POOL_SPEC.trials)
         assert result.accumulator.count_sums == serial.accumulator.count_sums
         assert all(c.mode == "degraded" for c in config.report().chunks)
 
@@ -313,9 +352,9 @@ class TestBrokenPoolShortCircuit:
 
         monkeypatch.setattr(executor_module, "_run_chunk", _crashing)
         tracer = Tracer()
-        config = RuntimeConfig(workers=2, chunk_size=2, tracer=tracer)
-        result = execute(SPEC, config)
-        serial = build_trials(SPEC, 0, SPEC.trials)
+        config = RuntimeConfig(workers=2, tracer=tracer)
+        result = execute(POOL_SPEC, config)
+        serial = build_trials(POOL_SPEC, 0, POOL_SPEC.trials)
         assert result.accumulator.count_sums == serial.accumulator.count_sums
         modes = [c.mode for c in config.report().chunks]
         assert tracer.counters.get("runtime.pool_broken", 0) == 1
@@ -325,33 +364,33 @@ class TestBrokenPoolShortCircuit:
         assert tracer.counters["runtime.degraded"] == modes.count("degraded")
 
     def test_session_pool_recreated_after_break(self, monkeypatch):
-        with runtime_session(workers=2, chunk_size=2) as config:
+        with runtime_session(workers=2) as config:
             monkeypatch.setattr(executor_module, "_run_chunk", _crashing)
-            execute(SPEC)
+            execute(POOL_SPEC)
             assert not config.persistent_pool().is_live
             monkeypatch.setattr(
                 executor_module, "_run_chunk", _real_run_chunk
             )
-            result = execute(SPEC)
+            result = execute(POOL_SPEC)
             assert config.persistent_pool().is_live
-        serial = build_trials(SPEC, 0, SPEC.trials)
+        serial = build_trials(POOL_SPEC, 0, POOL_SPEC.trials)
         assert result.accumulator.count_sums == serial.accumulator.count_sums
 
 
 class TestPersistentPool:
     def test_session_reuses_one_pool_across_executes(self):
-        with runtime_session(workers=2, chunk_size=2) as config:
-            execute(SPEC)
+        with runtime_session(workers=2) as config:
+            execute(POOL_SPEC)
             first = config.persistent_pool()._pool
             assert first is not None
-            execute(SPEC)
+            execute(POOL_SPEC)
             assert config.persistent_pool()._pool is first
         # session exit stops the workers
         assert config.persistent_pool()._pool is None
 
     def test_adhoc_execute_does_not_leave_workers(self):
-        config = RuntimeConfig(workers=2, chunk_size=2)
-        execute(SPEC, config)
+        config = RuntimeConfig(workers=2)
+        execute(POOL_SPEC, config)
         # a per-call pool was used; nothing persistent was created
         assert config._pool is None
 
@@ -380,15 +419,15 @@ class TestPersistentPool:
             )
             from repro.runtime import executor as executor_module
 
-            spec = ExperimentSpec(capacity=2, n_points=60, trials=5, seed=3)
-            with runtime_session(workers=2, chunk_size=2, engine="vector"):
+            spec = ExperimentSpec(capacity=2, n_points=60, trials=16, seed=3)
+            with runtime_session(workers=2, engine="vector"):
                 execute(spec)
 
             def crashing(spec, start, count, engine="object", traced=False):
                 os._exit(13)
 
             executor_module._run_chunk = crashing
-            execute(spec, RuntimeConfig(workers=2, chunk_size=2))
+            execute(spec, RuntimeConfig(workers=2))
         """)
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -484,9 +523,9 @@ class TestExecuteCache:
         assert not (tmp_path / "cache").exists()
 
     def test_parallel_run_populates_cache_for_serial_reader(self, tmp_path):
-        execute(SPEC, self._config(tmp_path, workers=2, chunk_size=2))
+        execute(POOL_SPEC, self._config(tmp_path, workers=2))
         warm = self._config(tmp_path)
-        execute(SPEC, warm)
+        execute(POOL_SPEC, warm)
         assert warm.report().cache_hits == 1
 
 

@@ -140,12 +140,14 @@ class TestSharedPoolMatrix:
     pool-unavailable degraded fallback, and the result cache — and must
     never leak a shared-memory block."""
 
-    KW = dict(n_points=90, trials=6, seed=13, collect_depth=True)
+    # 16 trials on 2 workers plan 8 chunks of 2: workers run the batched
+    # census and the coordinator merges multi-trial outcomes
+    KW = dict(n_points=90, trials=16, seed=13, collect_depth=True)
 
     def pooled_config(self, engine, **overrides):
         from repro.runtime import RuntimeConfig
 
-        base = dict(workers=2, engine=engine, chunk_size=2)
+        base = dict(workers=2, engine=engine)
         base.update(overrides)
         return RuntimeConfig(**base)
 

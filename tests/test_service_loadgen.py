@@ -11,7 +11,7 @@ from repro.service.loadgen import LoadError, ServiceClient, run_load
 
 
 def _run(tmp_path, tracer=None, server_kwargs=None, prepopulate=0,
-         **load_kwargs):
+         prepopulate_seed=777, **load_kwargs):
     async def go():
         tree, wal, _ = open_state(
             tmp_path / "state.pf", create=True, capacity=4
@@ -19,7 +19,8 @@ def _run(tmp_path, tracer=None, server_kwargs=None, prepopulate=0,
         if prepopulate:
             from repro.workloads import UniformPoints
 
-            for p in UniformPoints(dim=2, seed=777).generate(prepopulate):
+            points = UniformPoints(dim=2, seed=prepopulate_seed)
+            for p in points.generate(prepopulate):
                 tree.insert(p)
         server = SpatialIndexServer(tree, wal, port=0,
                                     **(server_kwargs or {}))
@@ -51,6 +52,20 @@ class TestRunLoad:
         # the local replay seeds itself with the server's existing
         # points, so census verification survives a non-empty start
         report = _run(tmp_path, prepopulate=250, ops=300, size=80, seed=12)
+        assert report.failures == 0
+        assert report.census_verified is True
+
+    def test_default_load_against_default_preload(self, tmp_path):
+        # `serve load` and `serve start --preload` draw uniform points
+        # from their seeds: equal defaults would re-insert the preload
+        from repro.service.cli import build_parser
+
+        parser = build_parser()
+        start = parser.parse_args(["start", "s.pf"])
+        load = parser.parse_args(["load"])
+        report = _run(tmp_path, prepopulate=300,
+                      prepopulate_seed=start.preload_seed,
+                      ops=300, size=80, seed=load.seed)
         assert report.failures == 0
         assert report.census_verified is True
 

@@ -64,6 +64,10 @@ def test_pages_match_slotted_inserts(page_size, dim):
     assert [row.tobytes() for row in built] == reference_pages(
         size, heads, records, starts, stops
     )
+    # laid out in place, in a strided view as a page file's slab gives
+    slab = np.zeros((len(counts), size + 16), dtype=np.uint8)
+    into = pack_pages(size, heads, records, starts, stops, out=slab[:, 16:])
+    assert (into == built).all() and (slab[:, :16] == 0).all()
 
 
 @pytest.mark.parametrize("page_size", [128, 4096])
@@ -123,9 +127,9 @@ def test_file_matches_the_per_point_write_path(
         runs["leaves"] = real_runs(codes, *args)
         return runs["leaves"]
 
-    def spy_pack(size, heads, records, starts, stops):
+    def spy_pack(size, heads, records, starts, stops, out=None):
         runs["arr"] = records.view("<f8")
-        return real_pack(size, heads, records, starts, stops)
+        return real_pack(size, heads, records, starts, stops, out=out)
 
     monkeypatch.setattr(bulkload, "_leaf_runs", spy_runs)
     monkeypatch.setattr(bulkload, "pack_pages", spy_pack)
